@@ -81,7 +81,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -107,6 +117,19 @@ def _value_key(value: Any) -> str:
     identically — structural equality, stable across dict ordering.
     """
     return json.dumps(value, sort_keys=True, default=str)
+
+
+def _wake(waiter: "asyncio.Future[None]") -> None:
+    if not waiter.done():
+        waiter.set_result(None)
+
+
+def _abandon(futures: Iterable["asyncio.Future[Reply]"]) -> None:
+    """Cancel the futures still in flight and retrieve the outcome of the
+    finished ones, so none is left with an exception nobody reads."""
+    for future in futures:
+        if not future.cancel() and not future.cancelled():
+            future.exception()
 
 
 class OperationFailed(ServiceError):
@@ -277,11 +300,6 @@ class Coordinator:
             raise ServiceError(f"hedge_delay_ms must be >= 0, got {hedge_delay_ms}")
         self.system = system
         self.transport = transport
-        # Synchronous task-free fan-out, when the transport offers one
-        # (BinaryTcpTransport.submit); None falls back to one task per
-        # member.  Wrappers like FaultyTransport deliberately don't
-        # expose submit, so faults keep applying per logical call.
-        self._submit = getattr(transport, "submit", None)
         if strategy is None:
             from ..analysis.load import optimal_strategy
 
@@ -618,7 +636,7 @@ class Coordinator:
         return plan
 
     def _absorb_straggler(
-        self, rid: int, task: "asyncio.Task", hint: Optional[Dict[str, Any]]
+        self, rid: int, future: "asyncio.Future[Reply]", hint: Optional[Dict[str, Any]]
     ) -> None:
         """Track an in-flight call after its phase already won.
 
@@ -626,9 +644,9 @@ class Coordinator:
         straggler histogram, success clears suspicion, failure feeds
         suspicion and hinted handoff — exactly as if the phase had waited.
         """
-        self._stragglers.add(task)
+        self._stragglers.add(future)
 
-        def _finish(done: "asyncio.Task") -> None:
+        def _finish(done: "asyncio.Future[Reply]") -> None:
             self._stragglers.discard(done)
             if done.cancelled():
                 return
@@ -646,16 +664,27 @@ class Coordinator:
             # Anything else was already surfaced by the winning path or is
             # unraisable from a callback; dropping it here is deliberate.
 
-        task.add_done_callback(_finish)
+        future.add_done_callback(_finish)
 
     async def drain(self) -> None:
         """Await all absorbed hedge stragglers (call before teardown)."""
         while self._stragglers:
             await asyncio.gather(*list(self._stragglers), return_exceptions=True)
 
+    async def _gather(
+        self, targets: Iterable[int], request: Dict[str, Any]
+    ) -> List[Any]:
+        """Send one request to every target; outcomes (reply or error) in
+        target order, once all are in."""
+        submit = self.transport.submit
+        return await asyncio.gather(
+            *[submit(rid, request, self.timeout) for rid in targets],
+            return_exceptions=True,
+        )
+
     async def _collect(
         self,
-        tasks: Dict[int, "asyncio.Task"],
+        futures: Dict[int, "asyncio.Future[Reply]"],
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
         hint: Optional[Dict[str, Any]],
         deferred_spares: Tuple[int, ...] = (),
@@ -667,8 +696,14 @@ class Coordinator:
         ``winner`` is the first candidate whose members all acknowledged
         (None if no candidate completed); once a winner emerges, still-
         pending calls are absorbed as background stragglers.  Without a
-        winner the wait drains every call — identical accounting to the
-        old gather-based fan-out.
+        winner the wait drains every call.
+
+        Replies are collected by callback: every future carries one
+        done-callback that wakes the phase's one waiter, and each wake
+        takes *every* reply that has arrived since the last one, in
+        replica-id order — exactly the batches an ``asyncio.wait``
+        (``FIRST_COMPLETED``) loop sees, so seeded runs do not depend on
+        how the fan-out is collected.
 
         ``deferred_spares`` are hedge replicas *not yet contacted*: they
         are issued (via ``request_for``) as soon as ``hedge_delay_ms``
@@ -679,52 +714,65 @@ class Coordinator:
         that is slow in aggregate (members trickling in just under the
         delay apiece) never hedges at all.
         """
-        rid_of = {task: rid for rid, task in tasks.items()}
-        pending = set(tasks.values())
+        loop = asyncio.get_running_loop()
+        # future -> replica id, for replies not yet taken into a batch
+        pending: Dict["asyncio.Future[Reply]", int] = {}
         payloads: Dict[int, Dict[str, Any]] = {}
         failed: List[int] = []
         attempt_latency = 0.0
         winner: Optional[Quorum] = None
         spares_pending = tuple(deferred_spares)
-        loop = asyncio.get_running_loop()
         hedge_deadline = (
             loop.time() + self.hedge_delay_ms / 1000.0 if spares_pending else 0.0
         )
+        waiter: "asyncio.Future[None]" = loop.create_future()
+
+        def arrived(future: "asyncio.Future[Reply]") -> None:
+            # A reply an earlier wake already took must not wake the
+            # next wait: its batch has been handled.
+            if future in pending:
+                _wake(waiter)
+
+        def track(rid: int, future: "asyncio.Future[Reply]") -> None:
+            pending[future] = rid
+            future.add_done_callback(arrived)
+
+        for rid, future in futures.items():
+            track(rid, future)
 
         def issue_spares() -> None:
             nonlocal spares_pending
             assert request_for is not None
             self.metrics.record_hedges_issued(len(spares_pending))
-            submit = self._submit
+            submit = self.transport.submit
             for rid in spares_pending:
-                if submit is not None:
-                    task = submit(rid, request_for(rid), self.timeout)
-                else:
-                    task = asyncio.ensure_future(
-                        self.transport.call(rid, request_for(rid), self.timeout)
-                    )
-                rid_of[task] = rid
-                pending.add(task)
+                track(rid, submit(rid, request_for(rid), self.timeout))
             spares_pending = ()
 
         while pending:
-            delay = (
-                max(0.0, hedge_deadline - loop.time()) if spares_pending else None
+            timer = None
+            if spares_pending:
+                # Re-armed on every wait, as an asyncio.wait timeout
+                # is, so hedged phases keep their seeded event order.
+                timer = loop.call_later(
+                    max(0.0, hedge_deadline - loop.time()), _wake, waiter
+                )
+            await waiter
+            waiter = loop.create_future()
+            if timer is not None:
+                timer.cancel()
+            batch = sorted(
+                (rid, future) for future, rid in pending.items() if future.done()
             )
-            done, pending = await asyncio.wait(
-                pending, timeout=delay, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not done:
+            if not batch:
                 # Hedge delay elapsed with the fan-out still incomplete.
                 issue_spares()
                 continue
-            # Set iteration order is id()-dependent; process replies in
-            # replica order so seeded runs stay bit-identical.
-            for task in sorted(done, key=lambda item: rid_of[item]):
-                rid = rid_of[task]
-                exc = task.exception()
+            for rid, future in batch:
+                del pending[future]
+                exc = future.exception()
                 if exc is None:
-                    reply = task.result()
+                    reply = future.result()
                     attempt_latency = max(attempt_latency, reply.latency)
                     if reply.payload.get("ok"):
                         payloads[rid] = reply.payload
@@ -738,8 +786,10 @@ class Coordinator:
                     else:
                         self.metrics.record_unavailable()
                 else:
-                    for straggler in pending:
-                        straggler.cancel()
+                    # The rest of this batch is retrieved and whatever is
+                    # still in flight cancelled, so nothing is left with
+                    # an exception nobody will ever read.
+                    _abandon(pending)
                     raise exc
             if self.require_full_quorum and winner is None:
                 for candidate, candidate_members in candidates:
@@ -752,8 +802,8 @@ class Coordinator:
                 # A member failed outright: hedge immediately, an
                 # alternate candidate may still complete the phase.
                 issue_spares()
-        for task in pending:
-            self._absorb_straggler(rid_of[task], task, hint)
+        for future, rid in pending.items():
+            self._absorb_straggler(rid, future, hint)
         return payloads, failed, attempt_latency, winner
 
     async def _quorum_phase(
@@ -804,25 +854,13 @@ class Coordinator:
             upfront_spares = () if deferred else live_spares
             if upfront_spares:
                 self.metrics.record_hedges_issued(len(upfront_spares))
-            # Transports with a synchronous submission fast path (the
-            # binary transport) fan the quorum out with zero per-member
-            # task creation; everything downstream treats the returned
-            # futures exactly like tasks.
-            submit = self._submit
-            if submit is not None:
-                tasks: Dict[int, "asyncio.Task"] = {
-                    rid: submit(rid, request_for(rid), self.timeout)
-                    for rid in members + upfront_spares
-                }
-            else:
-                tasks = {
-                    rid: asyncio.ensure_future(
-                        self.transport.call(rid, request_for(rid), self.timeout)
-                    )
-                    for rid in members + upfront_spares
-                }
+            submit = self.transport.submit
+            futures = {
+                rid: submit(rid, request_for(rid), self.timeout)
+                for rid in members + upfront_spares
+            }
             payloads, failed, attempt_latency, winner = await self._collect(
-                tasks,
+                futures,
                 candidates,
                 hint,
                 deferred_spares=live_spares if deferred else (),
@@ -1002,10 +1040,7 @@ class Coordinator:
             "coordinator": self.coordinator_id,
             "ttl": self.lease_ttl,
         }
-        outcomes = await asyncio.gather(
-            *(self.transport.call(rid, request, self.timeout) for rid in members),
-            return_exceptions=True,
-        )
+        outcomes = await self._gather(members, request)
         latency = 0.0
         joined = True
         for rid, outcome in zip(members, outcomes):
@@ -1048,10 +1083,7 @@ class Coordinator:
         probe = self.read_strategy.least_damaged(self._blocked_replicas())
         members = sorted(probe)
         request = {"op": "read", "key": key}
-        outcomes = await asyncio.gather(
-            *(self.transport.call(rid, request, self.timeout) for rid in members),
-            return_exceptions=True,
-        )
+        outcomes = await self._gather(members, request)
         attempt_latency = 0.0
         payloads: Dict[int, Dict[str, Any]] = {}
         for rid, outcome in zip(members, outcomes):
@@ -1176,15 +1208,7 @@ class Coordinator:
             "writer": best_ts[1],
         }
         targets = sorted(stale)
-        submit = self._submit
-        if submit is not None:
-            calls = [submit(rid, request, self.timeout) for rid in targets]
-        else:
-            calls = [
-                asyncio.ensure_future(self.transport.call(rid, request, self.timeout))
-                for rid in targets
-            ]
-        outcomes = await asyncio.gather(*calls, return_exceptions=True)
+        outcomes = await self._gather(targets, request)
         for rid, outcome in zip(targets, outcomes):
             if isinstance(outcome, Reply) and outcome.payload.get("ok"):
                 self.metrics.record_read_repair()

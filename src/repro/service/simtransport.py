@@ -4,9 +4,10 @@
 Transport` interface on top of a :class:`~repro.runtime.clock.Clock`.
 Message latencies are drawn from a seeded RNG exactly like the
 in-process transport's, but instead of merely *reporting* the latency it
-**spends** it — ``await clock.sleep(latency)`` — so concurrent requests
-complete in latency order, timeouts elapse, hedging delays fire, and
-backoff pauses cost time, just like against real sockets.
+**spends** it — each reply is a loop timer ``latency`` ms out — so
+concurrent requests complete in latency order, timeouts elapse, hedging
+delays fire, and backoff pauses cost time, just like against real
+sockets.
 
 Run it under :func:`~repro.runtime.clock.run_virtual` with a
 :class:`~repro.runtime.clock.VirtualClock` and the whole thing collapses
@@ -27,7 +28,8 @@ world exactly as it drives the in-process and TCP worlds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional
+import asyncio
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -42,9 +44,33 @@ from .transport import (
     ReplicaUnavailable,
     RequestTimeout,
     Transport,
+    _deliver,
 )
 
 __all__ = ["SimTransport"]
+
+
+def _after(
+    loop: asyncio.AbstractEventLoop,
+    delay_ms: float,
+    callback: Callable[..., None],
+    *args: Any,
+) -> None:
+    """Run ``callback(*args)`` once ``delay_ms`` of loop time has passed.
+
+    The schedule ``await clock.sleep(delay_ms)`` gives a coroutine: a
+    timer for a positive delay, otherwise the next loop turn.
+    """
+    if delay_ms > 0:
+        loop.call_later(delay_ms / 1000.0, callback, *args)
+    else:
+        loop.call_soon(callback, *args)
+
+
+def _fail_future(future: "asyncio.Future[Reply]", exc: Exception) -> None:
+    """Fail ``future`` with ``exc`` unless it was cancelled meanwhile."""
+    if not future.done():
+        future.set_exception(exc)
 
 
 class SimTransport(Transport):
@@ -148,16 +174,24 @@ class SimTransport(Transport):
         return self.down
 
     # ------------------------------------------------------------------
-    async def call(
+    def submit(
         self,
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
+    ) -> "asyncio.Future[Reply]":
+        """Start one request: its outcome is settled now, its time spent later.
+
+        The latency draw, the crash check and the FIFO slot are decided at
+        submission; the returned future resolves once that many
+        milliseconds of clock time have passed (a loop timer, no task).
+        """
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise ServiceError(f"unknown replica id {replica_id}")
         self.calls += 1
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         # Draw the round-trip latency unconditionally so the RNG stream
         # does not depend on the current crash set — the identical
         # discipline (and distribution) as InProcessTransport, which is
@@ -167,8 +201,9 @@ class SimTransport(Transport):
             # A crashed replica never answers: the caller burns the full
             # deadline — in clock time, not just on paper.
             self.unavailable += 1
-            await self.clock.sleep(timeout)
-            raise ReplicaUnavailable(replica_id, latency=timeout)
+            failure: Exception = ReplicaUnavailable(replica_id, latency=timeout)
+            _after(loop, timeout, _fail_future, future, failure)
+            return future
         if self.service_time_ms > 0:
             # FIFO capacity model: the request waits for the replica's
             # queue to drain, then occupies it for one service time.
@@ -176,30 +211,29 @@ class SimTransport(Transport):
             start = max(now, self._busy_until.get(replica_id, now))
             finish = start + self.service_time_ms
             latency += finish - now
-            if latency > timeout:
-                # Overload: the client gives up before being served; the
-                # slot is NOT reserved (the server never saw the work),
-                # so a saturated replica's queue is bounded by timeouts.
-                self.timeouts += 1
-                await self.clock.sleep(timeout)
-                raise RequestTimeout(replica_id, latency=timeout)
-            self._busy_until[replica_id] = finish
-        elif latency > timeout:
+            if latency <= timeout:
+                self._busy_until[replica_id] = finish
+            # Otherwise overload: the client gives up before being
+            # served; the slot is NOT reserved (the server never saw the
+            # work), so a saturated replica's queue is bounded by timeouts.
+        if latency > timeout:
             self.timeouts += 1
-            await self.clock.sleep(timeout)
-            raise RequestTimeout(replica_id, latency=timeout)
+            failure = RequestTimeout(replica_id, latency=timeout)
+            _after(loop, timeout, _fail_future, future, failure)
+            return future
         # The request is in flight for `latency` ms; the side effect
         # applies at *arrival* time, so concurrent operations interleave
         # in latency order exactly as they would over a network.
-        await self.clock.sleep(latency)
-        payload = replica.handle(request)
-        if self.wire_check:
-            # One op model across substrates: anything the sim carries
-            # must survive the binary codec byte-exactly, else raise.
-            from . import wire
+        _after(loop, latency, _deliver, future, replica, request, latency, self.wire_check)
+        return future
 
-            wire.assert_op_roundtrip(request, payload)
-        return Reply(payload, latency)
+    async def call(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> Reply:
+        return await self.submit(replica_id, request, timeout)
 
     async def pause(self, delay_ms: float) -> None:
         # Backoff costs clock time here (unlike the in-process

@@ -6,9 +6,10 @@ Two implementations of one abstraction:
   latencies are *virtual* milliseconds drawn from a seeded RNG and crash
   injection reuses the paper's iid model via
   :func:`repro.sim.failures.sample_iid_crash_set`.  Nothing ever sleeps
-  real time (awaits are ``sleep(0)`` yields), so a fixed seed produces a
-  bit-identical run — timeouts included, because a request "times out"
-  exactly when its sampled latency exceeds the deadline.
+  real time (a reply is delivered on the next loop turn), so a fixed
+  seed produces a bit-identical run — timeouts included, because a
+  request "times out" exactly when its sampled latency exceeds the
+  deadline.
 * :class:`TcpTransport` — real sockets speaking JSON lines (one request
   dict per line, one response dict per line) against replica servers
   started with :func:`start_tcp_replicas`; latencies are wall-clock.
@@ -72,8 +73,60 @@ class Reply(NamedTuple):
     latency: float
 
 
+def _deliver(
+    future: "asyncio.Future[Reply]",
+    replica: Replica,
+    request: Dict[str, Any],
+    latency: float,
+    wire_check: bool = False,
+) -> None:
+    """Apply ``request`` at ``replica`` and resolve ``future`` with the reply.
+
+    The delivery step of the in-process and virtual-time transports.  A
+    future cancelled before delivery never reaches the replica, and an
+    exception raised by the replica (or by the ``wire_check`` codec
+    round trip) lands on the future instead of the event loop.
+    """
+    if future.done():
+        return
+    try:
+        payload = replica.handle(request)
+        if wire_check:
+            # One op model across substrates: anything the sim carries
+            # must survive the binary codec byte-exactly, else raise.
+            wire.assert_op_roundtrip(request, payload)
+    except Exception as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(Reply(payload, latency))
+
+
 class Transport(ABC):
-    """Request/response channel from a coordinator to replicas."""
+    """Request/response channel from a coordinator to replicas.
+
+    :meth:`submit` is the one fan-out primitive: it starts a request and
+    returns a future of its :class:`Reply` at once, so a coordinator can
+    contact a whole quorum in a plain loop and collect the replies by
+    callback.  :meth:`call` is its await.  The in-process, virtual-time
+    and binary TCP transports implement ``submit`` natively, without a
+    task; every other transport (fault injection, the JSON clients, test
+    fakes) only writes ``call`` and inherits a ``submit`` that runs it in
+    a task.
+    """
+
+    def submit(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> "asyncio.Future[Reply]":
+        """Start one request; return a future of its :class:`Reply`.
+
+        The future fails with :class:`ReplicaUnavailable` /
+        :class:`RequestTimeout` when the request does; cancelling it
+        abandons the request.  Must be called inside the running loop.
+        """
+        return asyncio.ensure_future(self.call(replica_id, request, timeout))
 
     @abstractmethod
     async def call(
@@ -170,27 +223,40 @@ class InProcessTransport(Transport):
         return self.down
 
     # ------------------------------------------------------------------
-    async def call(
+    def submit(
         self,
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
+    ) -> "asyncio.Future[Reply]":
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise ServiceError(f"unknown replica id {replica_id}")
         self.calls += 1
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         # Draw the round-trip latency unconditionally so the RNG stream
         # does not depend on the current crash set.
         latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
         if replica_id in self.down:
             # A crashed replica never answers: the caller burns the full
             # deadline discovering it.
-            raise ReplicaUnavailable(replica_id, latency=timeout)
-        if latency > timeout:
-            raise RequestTimeout(replica_id, latency=timeout)
-        await asyncio.sleep(0)  # cooperative yield; keeps fan-out interleaved
-        return Reply(replica.handle(request), latency)
+            future.set_exception(ReplicaUnavailable(replica_id, latency=timeout))
+        elif latency > timeout:
+            future.set_exception(RequestTimeout(replica_id, latency=timeout))
+        else:
+            # Deliver on the next loop turn, so a fan-out's requests
+            # interleave with other clients' instead of running inline.
+            loop.call_soon(_deliver, future, replica, request, latency)
+        return future
+
+    async def call(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> Reply:
+        return await self.submit(replica_id, request, timeout)
 
     async def pause(self, delay_ms: float) -> None:
         # Virtual time only: the coordinator accounts the delay itself.
@@ -924,8 +990,8 @@ class BinaryTcpTransport(Transport):
         """Queue one RPC; return a future resolving to :class:`Reply`.
 
         Synchronous: no coroutine, no task — the caller can fan a whole
-        quorum out in a tight loop and ``await asyncio.wait`` on the
-        futures.  Must be called from within the running event loop.
+        quorum out in a tight loop and collect the futures by callback.
+        Must be called from within the running event loop.
         """
         if replica_id not in self.addresses:
             raise ServiceError(f"unknown replica id {replica_id}")

@@ -248,12 +248,11 @@ class ShardedCoordinator:
         replica_ids = sorted(r.replica_id for r in backend.replicas)
         request = {"op": "keys"}
         attempts = max(1, backend.coordinator.max_attempts)
+        submit = backend.transport.submit
+        timeout = backend.coordinator.timeout
         for attempt in range(1, attempts + 1):
             outcomes = await asyncio.gather(
-                *(
-                    backend.transport.call(rid, request, backend.coordinator.timeout)
-                    for rid in replica_ids
-                ),
+                *[submit(rid, request, timeout) for rid in replica_ids],
                 return_exceptions=True,
             )
             responders: Set[int] = set()
@@ -267,7 +266,7 @@ class ShardedCoordinator:
             if backend.shard.system.contains_quorum(frozenset(responders)):
                 return sorted(keys)
             if attempt < attempts:
-                await backend.transport.pause(backend.coordinator.timeout)
+                await backend.transport.pause(timeout)
         raise OperationFailed("census", backend.shard.shard_id, attempts, 0.0)
 
     async def _migrate(
