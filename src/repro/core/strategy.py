@@ -78,7 +78,6 @@ class Strategy:
                     raise StrategyError(
                         f"support set {sorted(quorum)} is not a quorum of the system"
                     )
-        self._validate_quorums = validate_quorums
         self._system = system
         self._quorums: Tuple[Quorum, ...] = tuple(frozen)
         self._weights = weight_array / total
@@ -295,21 +294,15 @@ class Strategy:
         ]
         if not kept:
             return None
+        quorums = [q for q, _ in kept]
         total = sum(weight for _, weight in kept)
         if total <= _PROBABILITY_TOLERANCE:
-            uniform = 1.0 / len(kept)
-            return Strategy(
-                self._system,
-                [q for q, _ in kept],
-                [uniform] * len(kept),
-                validate_quorums=self._validate_quorums,
-            )
-        return Strategy(
-            self._system,
-            [q for q, _ in kept],
-            [w / total for _, w in kept],
-            validate_quorums=self._validate_quorums,
-        )
+            weights = [1.0 / len(kept)] * len(kept)
+        else:
+            weights = [w / total for _, w in kept]
+        # The survivors are a subset of this support, which was validated
+        # (or deliberately left unvalidated) when it was built.
+        return Strategy(self._system, quorums, weights, validate_quorums=False)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -150,6 +150,23 @@ class TestAvoiding:
         # {0,2} and {0,3} keep their 1:1 ratio after renormalisation.
         assert sorted(restricted.weights) == pytest.approx([0.5, 0.5])
 
+    def test_avoiding_does_not_revalidate_survivors(self, star, monkeypatch):
+        quorums = [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 3})]
+        strategy = Strategy(star, quorums, [0.5, 0.3, 0.2])
+
+        def forbidden(live):
+            raise AssertionError("avoiding() re-validated a survivor")
+
+        monkeypatch.setattr(star, "contains_quorum", forbidden)
+        restricted = strategy.avoiding({1})
+        assert restricted is not None
+        assert list(restricted.quorums) == [frozenset({0, 2})]
+        assert list(restricted.weights) == [1.0]
+        restricted = strategy.avoiding({2})
+        assert list(restricted.quorums) == [frozenset({0, 1}), frozenset({0, 1, 3})]
+        assert list(restricted.weights) == pytest.approx([0.5 / 0.7, 0.2 / 0.7])
+        assert restricted.avoiding({3}).quorums == (frozenset({0, 1}),)
+
     def test_avoiding_the_center_is_impossible(self, star):
         strategy = Strategy.uniform(star)
         assert strategy.avoiding({0}) is None

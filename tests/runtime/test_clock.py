@@ -123,3 +123,57 @@ class TestVirtualTimeLoop:
             return asyncio.get_running_loop().clock.now()
 
         assert run_virtual(main()) == pytest.approx(1000.0)
+
+    def test_teardown_reports_straggler_errors(self):
+        reported = []
+        stragglers = []
+
+        async def straggler():
+            try:
+                await asyncio.sleep(10.0)
+            except asyncio.CancelledError:
+                raise RuntimeError("failed while cancelled")
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: reported.append(context))
+            stragglers.append(asyncio.ensure_future(straggler()))
+            await asyncio.sleep(0.001)
+
+        run_virtual(main())
+        assert len(reported) == 1
+        assert "run_virtual() shutdown" in reported[0]["message"]
+        assert isinstance(reported[0]["exception"], RuntimeError)
+        assert reported[0]["task"] is stragglers[0]
+
+    def test_teardown_is_quiet_for_clean_cancellation(self):
+        reported = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: reported.append(context))
+            asyncio.ensure_future(asyncio.sleep(10.0))
+
+        run_virtual(main())
+        assert reported == []
+
+
+class TestVirtualClockSleepNeedsItsLoop:
+    def test_under_a_stock_loop_raises(self):
+        clock = VirtualClock()
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match="VirtualTimeLoop"):
+            asyncio.run(clock.sleep(50.0))
+        assert time.monotonic() - started < 0.04
+        assert clock.now() == 0.0
+
+    def test_under_a_loop_driving_another_clock_raises(self):
+        clock = VirtualClock()
+        with pytest.raises(SimulationError, match="VirtualTimeLoop"):
+            run_virtual(clock.sleep(50.0), clock=VirtualClock())
+        assert clock.now() == 0.0
+
+    def test_under_its_own_loop_sleeps(self):
+        clock = VirtualClock()
+        run_virtual(clock.sleep(50.0), clock=clock)
+        assert clock.now() == pytest.approx(50.0)
