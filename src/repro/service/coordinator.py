@@ -89,8 +89,10 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -672,25 +674,51 @@ class Coordinator:
             await asyncio.gather(*list(self._stragglers), return_exceptions=True)
 
     async def _gather(
-        self, targets: Iterable[int], request: Dict[str, Any]
-    ) -> List[Any]:
+        self, targets: Sequence[int], request: Dict[str, Any]
+    ) -> List[Union[Reply, BaseException]]:
         """Send one request to every target; outcomes (reply or error) in
-        target order, once all are in."""
+        target order, once all are in.
+
+        The transport notifies a countdown as each reply lands and the
+        last one wakes the caller.  Errors come back as outcomes, never
+        raised here; if the caller is cancelled, requests still in
+        flight are cancelled with it.
+        """
+        if not targets:
+            return []
+        loop = asyncio.get_running_loop()
+        waiter: "asyncio.Future[None]" = loop.create_future()
+        remaining = len(targets)
+
+        def arrived(_future: "asyncio.Future[Reply]") -> None:
+            nonlocal remaining
+            remaining -= 1
+            if not remaining:
+                _wake(waiter)
+
         submit = self.transport.submit
-        return await asyncio.gather(
-            *[submit(rid, request, self.timeout) for rid in targets],
-            return_exceptions=True,
-        )
+        futures = [submit(rid, request, self.timeout, arrived) for rid in targets]
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            _abandon(futures)
+            raise
+        outcomes: List[Union[Reply, BaseException]] = []
+        for future in futures:
+            exc = future.exception()
+            outcomes.append(future.result() if exc is None else exc)
+        return outcomes
 
     async def _collect(
         self,
-        futures: Dict[int, "asyncio.Future[Reply]"],
+        targets: Tuple[int, ...],
+        request_for: Callable[[int], Dict[str, Any]],
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
         hint: Optional[Dict[str, Any]],
         deferred_spares: Tuple[int, ...] = (),
-        request_for: Optional[Callable[[int], Dict[str, Any]]] = None,
     ) -> Tuple[Dict[int, Dict[str, Any]], List[int], float, Optional[Quorum]]:
-        """Await a fan-out until the first candidate quorum fully acks.
+        """Fan out to ``targets``; wait until the first candidate quorum
+        fully acks.
 
         Returns ``(payloads, failed replica ids, attempt latency, winner)``.
         ``winner`` is the first candidate whose members all acknowledged
@@ -698,12 +726,12 @@ class Coordinator:
         pending calls are absorbed as background stragglers.  Without a
         winner the wait drains every call.
 
-        Replies are collected by callback: every future carries one
-        done-callback that wakes the phase's one waiter, and each wake
-        takes *every* reply that has arrived since the last one, in
-        replica-id order — exactly the batches an ``asyncio.wait``
-        (``FIRST_COMPLETED``) loop sees, so seeded runs do not depend on
-        how the fan-out is collected.
+        Replies are collected through the transport's ``notify``: each
+        resolved request is appended to an arrivals list and wakes the
+        phase's one waiter, and each wake takes *every* reply that has
+        arrived since the last one, in replica-id order.  A native
+        transport notifies inside the step that resolves the future, so
+        the waiter is woken without a callback hop of its own.
 
         ``deferred_spares`` are hedge replicas *not yet contacted*: they
         are issued (via ``request_for``) as soon as ``hedge_delay_ms``
@@ -717,6 +745,8 @@ class Coordinator:
         loop = asyncio.get_running_loop()
         # future -> replica id, for replies not yet taken into a batch
         pending: Dict["asyncio.Future[Reply]", int] = {}
+        # resolved futures not yet taken, in notification order
+        arrivals: List["asyncio.Future[Reply]"] = []
         payloads: Dict[int, Dict[str, Any]] = {}
         failed: List[int] = []
         attempt_latency = 0.0
@@ -728,25 +758,19 @@ class Coordinator:
         waiter: "asyncio.Future[None]" = loop.create_future()
 
         def arrived(future: "asyncio.Future[Reply]") -> None:
-            # A reply an earlier wake already took must not wake the
-            # next wait: its batch has been handled.
-            if future in pending:
-                _wake(waiter)
+            arrivals.append(future)
+            _wake(waiter)
 
-        def track(rid: int, future: "asyncio.Future[Reply]") -> None:
-            pending[future] = rid
-            future.add_done_callback(arrived)
-
-        for rid, future in futures.items():
-            track(rid, future)
+        submit = self.transport.submit
+        timeout = self.timeout
+        for rid in targets:
+            pending[submit(rid, request_for(rid), timeout, arrived)] = rid
 
         def issue_spares() -> None:
             nonlocal spares_pending
-            assert request_for is not None
             self.metrics.record_hedges_issued(len(spares_pending))
-            submit = self.transport.submit
             for rid in spares_pending:
-                track(rid, submit(rid, request_for(rid), self.timeout))
+                pending[submit(rid, request_for(rid), timeout, arrived)] = rid
             spares_pending = ()
 
         while pending:
@@ -761,13 +785,12 @@ class Coordinator:
             waiter = loop.create_future()
             if timer is not None:
                 timer.cancel()
-            batch = sorted(
-                (rid, future) for future, rid in pending.items() if future.done()
-            )
-            if not batch:
+            if not arrivals:
                 # Hedge delay elapsed with the fan-out still incomplete.
                 issue_spares()
                 continue
+            batch = sorted((pending[future], future) for future in arrivals)
+            arrivals.clear()
             for rid, future in batch:
                 del pending[future]
                 exc = future.exception()
@@ -854,17 +877,12 @@ class Coordinator:
             upfront_spares = () if deferred else live_spares
             if upfront_spares:
                 self.metrics.record_hedges_issued(len(upfront_spares))
-            submit = self.transport.submit
-            futures = {
-                rid: submit(rid, request_for(rid), self.timeout)
-                for rid in members + upfront_spares
-            }
             payloads, failed, attempt_latency, winner = await self._collect(
-                futures,
+                members + upfront_spares,
+                request_for,
                 candidates,
                 hint,
                 deferred_spares=live_spares if deferred else (),
-                request_for=request_for,
             )
             total_latency += attempt_latency
             if winner is None and not self.require_full_quorum and payloads:
@@ -915,10 +933,8 @@ class Coordinator:
         payloads, latency, attempts)`` — read-repair then repairs toward
         the *accepted* version, never toward an unquorate one.
         """
-        request_for: Callable[[int], Dict[str, Any]] = lambda rid: {
-            "op": "read",
-            "key": key,
-        }
+        request = {"op": "read", "key": key}
+        request_for: Callable[[int], Dict[str, Any]] = lambda rid: request
         if self.byzantine_b <= 0:
             payloads, latency, attempts, _ = await self._quorum_phase(
                 request_for, kind="read", key=key, path="read"

@@ -14,7 +14,7 @@ bit-identical dicts for identical seeds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,9 @@ class ServiceMetrics:
             "write": np.zeros(n, dtype=np.int64),
         }
         self.path_quorum_accesses: Dict[str, int] = {"read": 0, "write": 0}
+        # quorum -> its 0/1 membership row: one vector add per counter
+        # array beats an indexed increment per member.
+        self._quorum_rows: Dict[FrozenSet[int], np.ndarray] = {}
         self.ops_attempted = 0
         self.ops_succeeded = 0
         self.ops_failed = 0
@@ -134,22 +137,25 @@ class ServiceMetrics:
     def record_quorum_access(
         self, quorum: Iterable[int], path: Optional[str] = None
     ) -> None:
-        """Count one successful access of a full quorum.
+        """Count one successful access of a full quorum (a set of
+        element ids).
 
         ``path`` ("read" or "write") additionally attributes the access
         to one side of a split read/write strategy; omitting it keeps
         only the combined counters (legacy callers).
         """
         self.quorum_accesses += 1
-        if path is None:
-            for element in quorum:
-                self.element_accesses[element] += 1
-            return
-        per_path = self.path_element_accesses[path]
-        self.path_quorum_accesses[path] += 1
-        for element in quorum:
-            self.element_accesses[element] += 1
-            per_path[element] += 1
+        members = quorum if isinstance(quorum, frozenset) else frozenset(quorum)
+        row = self._quorum_rows.get(members)
+        if row is None:
+            row = np.zeros(self.n, dtype=np.int64)
+            row[list(members)] = 1
+            self._quorum_rows[members] = row
+        if path is not None:
+            per_path = self.path_element_accesses[path]
+            self.path_quorum_accesses[path] += 1
+            per_path += row
+        self.element_accesses += row
 
     def record_op(self, kind: str, latency: float, ok: bool, attempts: int) -> None:
         """Count one client operation (read or write) end to end."""

@@ -40,6 +40,7 @@ from ..runtime.metrics import Counter
 from .replica import Replica
 from .transport import (
     DEFAULT_TIMEOUT_MS,
+    Notify,
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
@@ -67,10 +68,15 @@ def _after(
         loop.call_soon(callback, *args)
 
 
-def _fail_future(future: "asyncio.Future[Reply]", exc: Exception) -> None:
-    """Fail ``future`` with ``exc`` unless it was cancelled meanwhile."""
+def _fail_future(
+    future: "asyncio.Future[Reply]", exc: Exception, notify: Optional[Notify]
+) -> None:
+    """Fail ``future`` with ``exc`` and notify, unless it was cancelled
+    meanwhile."""
     if not future.done():
         future.set_exception(exc)
+        if notify is not None:
+            notify(future)
 
 
 class SimTransport(Transport):
@@ -179,12 +185,14 @@ class SimTransport(Transport):
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
+        notify: Optional[Notify] = None,
     ) -> "asyncio.Future[Reply]":
         """Start one request: its outcome is settled now, its time spent later.
 
         The latency draw, the crash check and the FIFO slot are decided at
         submission; the returned future resolves once that many
-        milliseconds of clock time have passed (a loop timer, no task).
+        milliseconds of clock time have passed (a loop timer, no task),
+        and ``notify`` runs inside that timer.
         """
         replica = self.replicas.get(replica_id)
         if replica is None:
@@ -202,7 +210,7 @@ class SimTransport(Transport):
             # deadline — in clock time, not just on paper.
             self.unavailable += 1
             failure: Exception = ReplicaUnavailable(replica_id, latency=timeout)
-            _after(loop, timeout, _fail_future, future, failure)
+            _after(loop, timeout, _fail_future, future, failure, notify)
             return future
         if self.service_time_ms > 0:
             # FIFO capacity model: the request waits for the replica's
@@ -219,12 +227,22 @@ class SimTransport(Transport):
         if latency > timeout:
             self.timeouts += 1
             failure = RequestTimeout(replica_id, latency=timeout)
-            _after(loop, timeout, _fail_future, future, failure)
+            _after(loop, timeout, _fail_future, future, failure, notify)
             return future
         # The request is in flight for `latency` ms; the side effect
         # applies at *arrival* time, so concurrent operations interleave
         # in latency order exactly as they would over a network.
-        _after(loop, latency, _deliver, future, replica, request, latency, self.wire_check)
+        _after(
+            loop,
+            latency,
+            _deliver,
+            future,
+            replica,
+            request,
+            latency,
+            self.wire_check,
+            notify,
+        )
         return future
 
     async def call(

@@ -27,11 +27,22 @@ aggregate operation latency the same way regardless of transport.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import struct
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -73,19 +84,26 @@ class Reply(NamedTuple):
     latency: float
 
 
+#: Called with a request's future once the transport has resolved it
+#: (see :meth:`Transport.submit`).
+Notify = Callable[["asyncio.Future[Reply]"], None]
+
+
 def _deliver(
     future: "asyncio.Future[Reply]",
     replica: Replica,
     request: Dict[str, Any],
     latency: float,
     wire_check: bool = False,
+    notify: Optional[Notify] = None,
 ) -> None:
     """Apply ``request`` at ``replica`` and resolve ``future`` with the reply.
 
     The delivery step of the in-process and virtual-time transports.  A
     future cancelled before delivery never reaches the replica, and an
     exception raised by the replica (or by the ``wire_check`` codec
-    round trip) lands on the future instead of the event loop.
+    round trip) lands on the future instead of the event loop.  Either
+    way ``notify`` then runs at once, inside this step.
     """
     if future.done():
         return
@@ -99,6 +117,15 @@ def _deliver(
         future.set_exception(exc)
     else:
         future.set_result(Reply(payload, latency))
+    if notify is not None:
+        notify(future)
+
+
+def _notify_unless_cancelled(
+    notify: Notify, future: "asyncio.Future[Reply]"
+) -> None:
+    if not future.cancelled():
+        notify(future)
 
 
 class Transport(ABC):
@@ -106,12 +133,14 @@ class Transport(ABC):
 
     :meth:`submit` is the one fan-out primitive: it starts a request and
     returns a future of its :class:`Reply` at once, so a coordinator can
-    contact a whole quorum in a plain loop and collect the replies by
-    callback.  :meth:`call` is its await.  The in-process, virtual-time
-    and binary TCP transports implement ``submit`` natively, without a
-    task; every other transport (fault injection, the JSON clients, test
-    fakes) only writes ``call`` and inherits a ``submit`` that runs it in
-    a task.
+    contact a whole quorum in a plain loop and collect the replies
+    through ``notify``.  :meth:`call` is its await.  The in-process,
+    virtual-time and binary TCP transports implement ``submit``
+    natively, without a task, and run ``notify`` inside the step that
+    resolves the future; every other transport (fault injection, the
+    JSON clients, test fakes) only writes ``call`` and inherits a
+    ``submit`` that runs it in a task and registers ``notify`` as a
+    done-callback.
     """
 
     def submit(
@@ -119,14 +148,25 @@ class Transport(ABC):
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
+        notify: Optional[Notify] = None,
     ) -> "asyncio.Future[Reply]":
         """Start one request; return a future of its :class:`Reply`.
 
         The future fails with :class:`ReplicaUnavailable` /
         :class:`RequestTimeout` when the request does; cancelling it
         abandons the request.  Must be called inside the running loop.
+
+        ``notify(future)`` is called once the future is resolved: at most
+        once, never for a cancelled future, and never before ``submit``
+        has returned — a request that fails at submission is notified on
+        the next loop turn.
         """
-        return asyncio.ensure_future(self.call(replica_id, request, timeout))
+        future = asyncio.ensure_future(self.call(replica_id, request, timeout))
+        if notify is not None:
+            future.add_done_callback(
+                functools.partial(_notify_unless_cancelled, notify)
+            )
+        return future
 
     @abstractmethod
     async def call(
@@ -228,6 +268,7 @@ class InProcessTransport(Transport):
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
+        notify: Optional[Notify] = None,
     ) -> "asyncio.Future[Reply]":
         replica = self.replicas.get(replica_id)
         if replica is None:
@@ -247,7 +288,10 @@ class InProcessTransport(Transport):
         else:
             # Deliver on the next loop turn, so a fan-out's requests
             # interleave with other clients' instead of running inline.
-            loop.call_soon(_deliver, future, replica, request, latency)
+            loop.call_soon(_deliver, future, replica, request, latency, False, notify)
+            return future
+        if notify is not None:
+            loop.call_soon(notify, future)
         return future
 
     async def call(
@@ -804,6 +848,7 @@ class _BinCall:
         "retried",
         "rpc_id",
         "timer",
+        "notify",
     )
 
     def __init__(
@@ -813,11 +858,13 @@ class _BinCall:
         timeout: float,
         future: asyncio.Future,
         start: float,
+        notify: Optional[Notify],
     ) -> None:
         self.replica_id = replica_id
         self.request = request
         self.timeout = timeout
         self.future = future
+        self.notify = notify
         self.start = start
         self.deadline = start + timeout / 1000.0
         self.reused = False
@@ -986,11 +1033,13 @@ class BinaryTcpTransport(Transport):
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
+        notify: Optional[Notify] = None,
     ) -> "asyncio.Future[Reply]":
         """Queue one RPC; return a future resolving to :class:`Reply`.
 
         Synchronous: no coroutine, no task — the caller can fan a whole
-        quorum out in a tight loop and collect the futures by callback.
+        quorum out in a tight loop and collect the futures through
+        ``notify``, which runs in the callback that resolves each one.
         Must be called from within the running event loop.
         """
         if replica_id not in self.addresses:
@@ -1000,7 +1049,7 @@ class BinaryTcpTransport(Transport):
             loop = self._loop = asyncio.get_running_loop()
         self.calls += 1
         entry = _BinCall(
-            replica_id, request, timeout, loop.create_future(), loop.time()
+            replica_id, request, timeout, loop.create_future(), loop.time(), notify
         )
         state = self._states.get(replica_id)
         if state is None:
@@ -1100,23 +1149,28 @@ class BinaryTcpTransport(Transport):
             if not entry.future.done():
                 self._dispatch(state, entry, fresh=True)
 
+    @staticmethod
+    def _reject(entry: _BinCall, exc: Exception) -> None:
+        """Fail a call unless it was cancelled or already settled, then
+        notify its submitter."""
+        if not entry.future.done():
+            entry.future.set_exception(exc)
+            if entry.notify is not None:
+                entry.notify(entry.future)
+
     def _fail(self, entry: _BinCall, reason: str) -> None:
         if entry.timer is not None:
             entry.timer.cancel()
             entry.timer = None
-        if not entry.future.done():
-            elapsed = (self._loop.time() - entry.start) * 1000.0
-            entry.future.set_exception(
-                ReplicaUnavailable(entry.replica_id, latency=elapsed, reason=reason)
-            )
+        elapsed = (self._loop.time() - entry.start) * 1000.0
+        self._reject(
+            entry, ReplicaUnavailable(entry.replica_id, latency=elapsed, reason=reason)
+        )
 
     def _expire(self, entry: _BinCall) -> None:
         """Backlog deadline timer: the dial did not finish in time."""
         entry.timer = None
-        if not entry.future.done():
-            entry.future.set_exception(
-                RequestTimeout(entry.replica_id, latency=entry.timeout)
-            )
+        self._reject(entry, RequestTimeout(entry.replica_id, latency=entry.timeout))
 
     def _sweep(self, channel: _BinChannel) -> None:
         """Channel deadline sweep: one timer for every pending call.
@@ -1141,10 +1195,9 @@ class BinaryTcpTransport(Transport):
                 next_deadline = entry.deadline
         for entry in expired:
             channel.pending.pop(entry.rpc_id, None)
-            if not entry.future.done():
-                entry.future.set_exception(
-                    RequestTimeout(entry.replica_id, latency=entry.timeout)
-                )
+            self._reject(
+                entry, RequestTimeout(entry.replica_id, latency=entry.timeout)
+            )
         if next_deadline:
             channel.sweep_at = next_deadline
             channel.sweep_timer = loop.call_later(
@@ -1210,6 +1263,8 @@ class BinaryTcpTransport(Transport):
                         entry.future.set_result(
                             Reply(payload, (loop.time() - entry.start) * 1000.0)
                         )
+                        if entry.notify is not None:
+                            entry.notify(entry.future)
             except wire.WireError as exc:
                 self._teardown(channel.state, channel, str(exc))
                 return

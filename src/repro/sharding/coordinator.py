@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..core.errors import ServiceError
+from ..core.errors import ReplicaUnavailable, RequestTimeout, ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..service.coordinator import (
     Coordinator,
@@ -247,26 +247,26 @@ class ShardedCoordinator:
         """
         replica_ids = sorted(r.replica_id for r in backend.replicas)
         request = {"op": "keys"}
-        attempts = max(1, backend.coordinator.max_attempts)
-        submit = backend.transport.submit
-        timeout = backend.coordinator.timeout
+        coordinator = backend.coordinator
+        attempts = max(1, coordinator.max_attempts)
         for attempt in range(1, attempts + 1):
-            outcomes = await asyncio.gather(
-                *[submit(rid, request, timeout) for rid in replica_ids],
-                return_exceptions=True,
-            )
+            outcomes = await coordinator._gather(replica_ids, request)
             responders: Set[int] = set()
             keys: Set[str] = set()
             for rid, outcome in zip(replica_ids, outcomes):
-                if isinstance(outcome, BaseException):
+                if isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
                     continue
+                if isinstance(outcome, BaseException):
+                    # Not a non-responder: a replica or codec bug must
+                    # surface, not pass as a transient fault.
+                    raise outcome
                 if outcome.payload.get("ok"):
                     responders.add(rid)
                     keys.update(outcome.payload.get("keys", ()))
             if backend.shard.system.contains_quorum(frozenset(responders)):
                 return sorted(keys)
             if attempt < attempts:
-                await backend.transport.pause(timeout)
+                await backend.transport.pause(coordinator.timeout)
         raise OperationFailed("census", backend.shard.shard_id, attempts, 0.0)
 
     async def _migrate(
@@ -307,9 +307,11 @@ class ShardedCoordinator:
                         key, result.value, result.counter, result.writer
                     )
                     keys_moved += 1
-        except (OperationFailed, ServiceError) as exc:
+        except Exception as exc:
             # Abort: discard the staged destinations, keep the old epoch.
             # State updates first (synchronously), teardown awaits after.
+            # Service failures end here; anything else (a replica or codec
+            # bug) is re-raised once the old epoch is restored.
             discarded = list(self._staging.values())
             self._staging.clear()
             self._pending = None
@@ -323,6 +325,8 @@ class ShardedCoordinator:
             self.resharding_log.append(event)
             for backend in discarded:
                 await backend.close()
+            if not isinstance(exc, (OperationFailed, ServiceError)):
+                raise
             return event
         # 3. Flip: install the map and promote staged backends in one
         #    atomic step — every operation after this instant routes by

@@ -1,19 +1,30 @@
-"""The quorum fan-out: one ``submit`` primitive, collected by callback.
+"""The quorum fan-out: one ``submit`` primitive, collected through
+``notify``.
 
-Three kinds of guard:
+Six kinds of guard:
 
 * **bit identity** — golden digests of seeded runs.  They were computed
   before the coordinator switched from one task per contacted replica
   (``ensure_future(transport.call(...))`` collected by ``asyncio.wait``)
   to futures from ``Transport.submit`` collected by done-callbacks, and
-  the switch left them unchanged.  A later change to the fan-out or to
-  event order that moves them must update them on purpose and say why;
+  the switch left them unchanged, as did the later switch from
+  done-callbacks to the transports' ``notify``.  A change to the fan-out
+  or to event order that moves them must update them on purpose and say
+  why;
 * **no tasks** — the coordinator creates no asyncio task per quorum
   phase on the in-process and virtual-time transports;
 * **the submit contract** of those two transports: the future comes back
   synchronously, failures take exactly the deadline, the FIFO slot is
   taken at submission, a cancelled request is never applied, and errors
-  raised while delivering land on the future.
+  raised while delivering land on the future;
+* **the notify contract** of every native transport: ``notify`` runs
+  once per resolved request, never for a cancelled one, never inside
+  ``submit``;
+* **hop counts** — a k-member fan-out on the in-process transport
+  schedules k delivery callbacks plus one wake of the collecting task;
+* **the gather contract** of ``Coordinator._gather``: outcomes in target
+  order, errors returned rather than raised, in-flight requests
+  cancelled with the caller.
 """
 
 import asyncio
@@ -27,17 +38,21 @@ from repro.core.errors import ServiceError
 from repro.runtime import VirtualClock, run_virtual
 from repro.scenarios.scorecard import digest
 from repro.service import (
+    BinaryTcpTransport,
     ChaosConfig,
     Coordinator,
     InProcessTransport,
     Replica,
     ReplicaUnavailable,
+    RequestTimeout,
     SimTransport,
     make_replicas,
     run_chaos,
     run_kv_benchmark,
+    start_tcp_replicas,
 )
-from repro.service.transport import DEFAULT_TIMEOUT_MS, Reply, Transport
+from repro.service import wire
+from repro.service.transport import DEFAULT_TIMEOUT_MS, Reply, Transport, _deliver
 from repro.systems import MajorityQuorumSystem
 
 # ----------------------------------------------------------------------
@@ -296,7 +311,7 @@ class Scripted(Transport):
         self.replicas = {replica.replica_id: replica for replica in replicas}
         self.delays = delays
 
-    def submit(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
+    def submit(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS, notify=None):
         loop = asyncio.get_running_loop()
         future = loop.create_future()
 
@@ -307,6 +322,8 @@ class Scripted(Transport):
                 future.set_result(Reply(self.replicas[replica_id].handle(request), 1.0))
             except Exception as exc:
                 future.set_exception(exc)
+            if notify is not None:
+                notify(future)
 
         loop.call_later(self.delays[replica_id], deliver)
         return future
@@ -338,3 +355,311 @@ class TestUnexpectedError:
         # Replica 1's error was retrieved (no "never retrieved" report
         # above) and the in-flight writes were cancelled, not applied.
         assert replicas[2].writes_applied == replicas[3].writes_applied == 0
+
+
+# ----------------------------------------------------------------------
+# The notify contract
+# ----------------------------------------------------------------------
+class Notified:
+    """A ``notify`` that records each call and whether it ran inside
+    ``submit``."""
+
+    def __init__(self):
+        self.futures = []
+        self.inside_submit = []
+        self.submitting = False
+
+    def __call__(self, future):
+        assert future.done() and not future.cancelled()
+        self.futures.append(future)
+        self.inside_submit.append(self.submitting)
+
+    def submit(self, transport, *args, **kwargs):
+        self.submitting = True
+        try:
+            return transport.submit(*args, notify=self, **kwargs)
+        finally:
+            self.submitting = False
+
+
+@pytest.mark.parametrize("make", [inprocess, sim], ids=["inprocess", "sim"])
+class TestNotifyContract:
+    def test_reply_notified_once_after_submit_returns(self, make):
+        transport, run = make([Replica(0)])
+        notified = Notified()
+
+        async def main():
+            future = notified.submit(transport, 0, WRITE)
+            assert notified.futures == []
+            reply = await future
+            assert reply.payload["applied"]
+            await asyncio.sleep(0.1)
+            return future
+
+        future = run(main())
+        assert notified.futures == [future]
+        assert notified.inside_submit == [False]
+
+    @pytest.mark.parametrize("failure", ["crash", "timeout"])
+    def test_failure_notified_once_after_submit_returns(self, make, failure):
+        transport, run = make([Replica(0)])
+        transport.base_latency = 10.0
+        if failure == "crash":
+            transport.crash(0)
+        notified = Notified()
+
+        async def main():
+            future = notified.submit(transport, 0, WRITE, timeout=5.0)
+            assert notified.futures == []
+            with pytest.raises((ReplicaUnavailable, RequestTimeout)):
+                await future
+            await asyncio.sleep(0.1)
+            return future
+
+        future = run(main())
+        assert notified.futures == [future]
+        assert notified.inside_submit == [False]
+
+    def test_cancelled_request_never_notified(self, make):
+        transport, run = make([Replica(0)])
+        notified = Notified()
+
+        async def main():
+            notified.submit(transport, 0, WRITE).cancel()
+            await asyncio.sleep(0.1)
+
+        run(main())
+        assert notified.futures == []
+
+
+async def slow_binary_server(delay):
+    """A binary v2 server that answers every request ``delay`` seconds
+    late, so a short deadline expires first and the reply arrives after.
+    Returns the server, its port and an event set once the client hung up.
+    """
+    hung_up = asyncio.Event()
+
+    async def handle(reader, writer):
+        writer.write(wire.hello_frame())
+        decoder = wire.FrameDecoder()
+        while True:
+            data = await reader.read(4096)
+            if not data:
+                break
+            for _, flags, count, body in decoder.feed(data):
+                if flags & wire.FLAG_HELLO:
+                    continue
+                offset = 0
+                out = []
+                for _ in range(count):
+                    rpc_id, _request, offset = wire.decode_request(body, offset)
+                    out.append(wire.encode_response(rpc_id, {"ok": True}))
+                await asyncio.sleep(delay)
+                for frame in wire.pack_frames(out):
+                    writer.write(frame)
+        writer.close()
+        hung_up.set()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1], hung_up
+
+
+class TestBinaryNotifyContract:
+    def test_reply_notified_once_and_cancelled_never(self):
+        async def main():
+            replicas = [Replica(0)]
+            servers, addresses = await start_tcp_replicas(replicas)
+            transport = BinaryTcpTransport(addresses)
+            notified = Notified()
+            await transport.call(0, {"op": "ping"})  # dial the channel
+            cancelled = notified.submit(transport, 0, WRITE)
+            cancelled.cancel()
+            future = notified.submit(transport, 0, {"op": "read", "key": "k"})
+            assert notified.futures == []
+            await future
+            await transport.close()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+            return notified, future
+
+        notified, future = asyncio.run(main())
+        assert notified.futures == [future]
+        assert notified.inside_submit == [False]
+
+    def test_deadline_notifies_once_and_late_reply_does_not(self):
+        async def main():
+            server, port, hung_up = await slow_binary_server(delay=0.2)
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
+            await transport.call(0, {"op": "ping"}, timeout=5_000.0)
+            notified = Notified()
+            future = notified.submit(transport, 0, {"op": "ping"}, timeout=20.0)
+            with pytest.raises(RequestTimeout):
+                await future
+            await asyncio.sleep(0.4)  # the late reply arrives and is dropped
+            await transport.close()
+            await hung_up.wait()
+            server.close()
+            await server.wait_closed()
+            return notified, future
+
+        notified, future = asyncio.run(main())
+        assert notified.futures == [future]
+        assert notified.inside_submit == [False]
+
+    def test_failed_dial_notified_once(self):
+        async def main():
+            transport = BinaryTcpTransport({0: ("127.0.0.1", 1)})
+            notified = Notified()
+            future = notified.submit(transport, 0, {"op": "ping"})
+            assert notified.futures == []
+            with pytest.raises(ReplicaUnavailable):
+                await future
+            await asyncio.sleep(0)
+            await transport.close()
+            return notified, future
+
+        notified, future = asyncio.run(main())
+        assert notified.futures == [future]
+
+
+# ----------------------------------------------------------------------
+# Hop counts
+# ----------------------------------------------------------------------
+async def scheduled_during(awaitable):
+    """Await ``awaitable``; return every callback passed to
+    ``loop.call_soon`` meanwhile (future callbacks and task wake-ups
+    included)."""
+    loop = asyncio.get_running_loop()
+    scheduled = []
+    original = loop.call_soon
+
+    def call_soon(callback, *args, **kwargs):
+        scheduled.append(callback)
+        return original(callback, *args, **kwargs)
+
+    loop.call_soon = call_soon
+    try:
+        await awaitable
+    finally:
+        del loop.call_soon
+    return scheduled
+
+
+def single_quorum(n, quorum):
+    system = MajorityQuorumSystem.of_size(n)
+    return system, Strategy(system, [frozenset(quorum)], [1.0])
+
+
+class TestHopCount:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_write_costs_one_delivery_per_member_and_one_wake(self, n):
+        k = n // 2 + 1
+        system, strategy = single_quorum(n, range(k))
+        transport = InProcessTransport(make_replicas(system), seed=1)
+        coordinator = Coordinator(system, transport, strategy, seed=0)
+
+        async def main():
+            return await scheduled_during(coordinator.write("k", 1))
+
+        scheduled = asyncio.run(main())
+        assert scheduled.count(_deliver) == k
+        assert len(scheduled) == k + 1
+
+    def test_read_repair_costs_one_wake_per_batch(self):
+        system, strategy = single_quorum(5, {0, 1, 2})
+        replicas = make_replicas(system)
+        replicas[0].handle(WRITE)  # 1 and 2 are stale
+        transport = InProcessTransport(replicas, seed=1)
+        coordinator = Coordinator(system, transport, strategy, seed=0)
+
+        async def main():
+            return await scheduled_during(coordinator.read("k"))
+
+        scheduled = asyncio.run(main())
+        assert coordinator.metrics.read_repairs == 2
+        # Read: 3 deliveries + 1 wake; repair of 1 and 2: 2 + 1.
+        assert scheduled.count(_deliver) == 5
+        assert len(scheduled) == 7
+
+
+# ----------------------------------------------------------------------
+# The gather contract
+# ----------------------------------------------------------------------
+def gather_service(replicas, delays):
+    system = MajorityQuorumSystem.of_size(len(replicas))
+    transport = Scripted(replicas, delays)
+    return transport, Coordinator(system, transport, seed=0)
+
+
+class TestGather:
+    def test_outcomes_in_target_order(self):
+        replicas = [Replica(i) for i in range(4)]
+        # Replies land in reverse target order.
+        _, coordinator = gather_service(
+            replicas, {0: 0.004, 1: 0.003, 2: 0.002, 3: 0.001}
+        )
+        targets = [0, 2, 1, 3]
+        outcomes = run_virtual(coordinator._gather(targets, {"op": "ping"}))
+        assert [outcome.payload["replica"] for outcome in outcomes] == targets
+
+    def test_no_targets(self):
+        _, coordinator = gather_service([Replica(0)], {0: 0.001})
+        assert run_virtual(coordinator._gather([], {"op": "ping"})) == []
+
+    def test_transport_error_is_an_outcome(self):
+        system = MajorityQuorumSystem.of_size(3)
+        transport = InProcessTransport(make_replicas(system), seed=0)
+        coordinator = Coordinator(system, transport, seed=0)
+        transport.crash(1)
+
+        async def main():
+            errors = record_loop_errors()
+            outcomes = await coordinator._gather([0, 1, 2], {"op": "ping"})
+            return outcomes, errors
+
+        outcomes, errors = asyncio.run(main())
+        assert isinstance(outcomes[0], Reply) and isinstance(outcomes[2], Reply)
+        assert isinstance(outcomes[1], ReplicaUnavailable)
+        assert errors == []
+
+    def test_unexpected_error_is_returned_and_surfaced_by_repair(self):
+        replicas = [Replica(0), Exploding(1), Exploding(2)]
+        _, coordinator = gather_service(replicas, {0: 0.001, 1: 0.001, 2: 0.002})
+        best = {"ok": True, "counter": 2, "writer": 0, "value": "new"}
+        stale = {"ok": True, "counter": 1, "writer": 0, "value": "old"}
+
+        async def main():
+            errors = record_loop_errors()
+            outcomes = await coordinator._gather([1, 0], {"op": "ping"})
+            assert isinstance(outcomes[0], RuntimeError)
+            assert isinstance(outcomes[1], Reply)
+            with pytest.raises(RuntimeError, match="replica 1 exploded"):
+                await coordinator._repair_stale(
+                    "k", best, {0: best, 1: stale, 2: stale}
+                )
+            gc.collect()
+            return errors
+
+        # Replica 2's error is retrieved too: nothing is logged.
+        assert run_virtual(main()) == []
+
+    def test_outer_cancellation_cancels_in_flight_requests(self):
+        replicas = [Exploding(0), Replica(1), Replica(2)]
+        transport, coordinator = gather_service(
+            replicas, {0: 0.001, 1: 0.5, 2: 0.5}
+        )
+
+        async def main():
+            errors = record_loop_errors()
+            task = asyncio.ensure_future(coordinator._gather([0, 1, 2], WRITE))
+            await asyncio.sleep(0.01)  # replica 0 has failed, 1 and 2 pending
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            await asyncio.sleep(1.0)  # past the in-flight replies' delay
+            gc.collect()
+            return errors
+
+        assert run_virtual(main()) == []
+        assert replicas[1].writes_applied == replicas[2].writes_applied == 0

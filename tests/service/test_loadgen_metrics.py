@@ -31,6 +31,30 @@ class TestMetrics:
         assert metrics.retries == 2
         assert metrics.latency_percentile(50) == pytest.approx(7.0)
 
+    def test_quorum_access_counts_match_per_element_counting(self):
+        rng = np.random.default_rng(5)
+        quorums = [frozenset({0, 3, 5}), frozenset({1, 2}), frozenset(range(7))]
+        metrics = ServiceMetrics(7)
+        elements = np.zeros(7, dtype=np.int64)
+        per_path = {path: np.zeros(7, dtype=np.int64) for path in ("read", "write")}
+        for _ in range(200):
+            quorum = quorums[rng.integers(len(quorums))]
+            path = [None, "read", "write"][rng.integers(3)]
+            # Any iterable of element ids is accepted, not only frozensets.
+            metrics.record_quorum_access(sorted(quorum), path)
+            for element in quorum:
+                elements[element] += 1
+                if path is not None:
+                    per_path[path][element] += 1
+        assert metrics.element_accesses.tolist() == elements.tolist()
+        assert metrics.element_accesses.dtype == np.int64
+        for path, counts in per_path.items():
+            assert metrics.path_element_accesses[path].tolist() == counts.tolist()
+        assert metrics.quorum_accesses == 200
+        snapshot = metrics.to_dict()
+        assert snapshot["observed_loads"] == [float(x) for x in elements / 200]
+        json.dumps(snapshot)
+
     def test_load_deviation_handles_zero_predictions(self):
         metrics = ServiceMetrics(3)
         metrics.record_quorum_access({0, 1})

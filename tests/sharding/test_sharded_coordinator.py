@@ -234,3 +234,54 @@ class TestReshardLog:
             await sharded.close()
 
         run(clock, main())
+
+
+def break_census(backend, exc):
+    """Make one replica of ``backend`` raise ``exc`` on the key census."""
+    replica = backend.replicas[0]
+    handle = replica.handle
+
+    def broken(request):
+        if request.get("op") == "keys":
+            raise exc
+        return handle(request)
+
+    replica.handle = broken
+
+
+class TestCensusFailures:
+    """A census reply that is an error other than a transport failure is
+    a bug, not a non-responder: it must not be retried away."""
+
+    def test_replica_bug_propagates(self):
+        clock, sharded = make_sharded(shards=2)
+
+        async def main():
+            for key in KEYS:
+                await sharded.write(key, 0)
+            break_census(sharded._backends["s0"], RuntimeError("census bug"))
+            with pytest.raises(RuntimeError, match="census bug"):
+                await sharded.split_shard("s0")
+            # The old epoch is restored and keeps serving.
+            assert sharded.resharding_log[-1].detail == "census bug"
+            assert sharded.map.version == 1
+            for key in KEYS:
+                await sharded.write(key, 1)
+            await sharded.close()
+
+        run(clock, main())
+
+    def test_service_error_aborts_with_its_reason(self):
+        clock, sharded = make_sharded(shards=2)
+
+        async def main():
+            for key in KEYS:
+                await sharded.write(key, 0)
+            break_census(sharded._backends["s0"], ServiceError("codec drift"))
+            event = await sharded.split_shard("s0")
+            assert not event.ok
+            assert event.detail == "codec drift"
+            assert sharded.map.version == 1
+            await sharded.close()
+
+        run(clock, main())
