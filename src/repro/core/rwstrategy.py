@@ -86,11 +86,15 @@ class ReadWriteStrategy:
 
         Reads and writes share the one distribution, so behaviour is
         byte-identical to the unified serving path.  Passing an existing
-        :class:`ReadWriteStrategy` returns it unchanged.
+        :class:`ReadWriteStrategy` returns it unchanged.  The pair is
+        built (and its 2-intersection checked) once per strategy, then
+        memoised on it: every coordinator over one strategy shares it.
         """
         if isinstance(strategy, ReadWriteStrategy):
             return strategy
-        return cls(strategy.system, strategy, strategy)
+        if strategy._lifted is None:
+            strategy._lifted = cls(strategy.system, strategy, strategy)
+        return strategy._lifted
 
     @classmethod
     def from_quorums(
@@ -200,7 +204,7 @@ class ReadWriteStrategy:
         if writes is None:
             return None
         if not self.is_split:
-            return ReadWriteStrategy(self._system, writes, writes)
+            return ReadWriteStrategy.lift(writes)
         reads = self._reads.avoiding(blocked)
         if reads is None:
             return None

@@ -14,7 +14,7 @@ lives in :mod:`repro.analysis.load`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .quorum_system import Quorum, QuorumSystem
 from .sampling import AliasTable
 
 _PROBABILITY_TOLERANCE = 1e-9
+
+#: Restricted strategies :meth:`Strategy.avoiding` keeps per strategy;
+#: the memo is emptied when it fills up.
+AVOIDING_MEMO_LIMIT = 128
 
 
 class Strategy:
@@ -92,6 +96,11 @@ class Strategy:
         self._membership: Optional[np.ndarray] = None
         self._members: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._ranked_order: Optional[Tuple[int, ...]] = None
+        # blocked set -> avoiding(blocked), shared by every coordinator
+        # serving this strategy; and the degenerate read/write pair
+        # ReadWriteStrategy.lift built from it.
+        self._avoiding: Dict[frozenset, Optional["Strategy"]] = {}
+        self._lifted: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -282,8 +291,23 @@ class Strategy:
         Surviving weights are renormalised; if they all carry zero weight
         the restriction falls back to uniform over the survivors, so a
         crash can never resurrect an empty distribution.
+
+        Renormalising is O(support), far too slow to redo per operation
+        while the same replicas stay suspected, so results are memoised
+        per blocked set (at most :data:`AVOIDING_MEMO_LIMIT`) and the
+        same restricted strategy is returned for the same set.
         """
         blocked = frozenset(down)
+        memo = self._avoiding
+        if blocked in memo:
+            return memo[blocked]
+        restricted = self._restrict(blocked)
+        if len(memo) >= AVOIDING_MEMO_LIMIT:
+            memo.clear()
+        memo[blocked] = restricted
+        return restricted
+
+    def _restrict(self, blocked: frozenset) -> Optional["Strategy"]:
         touched = bitpack.intersects(
             self.packed_quorums(), self._blocked_mask(blocked)
         )

@@ -121,6 +121,10 @@ def _value_key(value: Any) -> str:
     return json.dumps(value, sort_keys=True, default=str)
 
 
+#: The empty replica set (nobody suspected, no breaker open).
+_NOBODY: frozenset = frozenset()
+
+
 def _wake(waiter: "asyncio.Future[None]") -> None:
     if not waiter.done():
         waiter.set_result(None)
@@ -250,8 +254,6 @@ class Coordinator:
         for that attempt.
     """
 
-    _AVOIDING_CACHE_LIMIT = 128
-
     def __init__(
         self,
         system: QuorumSystem,
@@ -366,14 +368,13 @@ class Coordinator:
         # replica id -> {key: (counter, writer, value)} pending handoffs
         self._hints: Dict[int, Dict[str, Tuple[int, int, Any]]] = {}
         self._replaying = False  # reentrancy guard for _replay_hints
-        # Hot-path caches: quorum -> sorted member tuple, (path, blocked
-        # set) -> restricted strategy (or None), (path, quorum) -> hedge
-        # plan.  Caches are path-keyed because a split pair restricts
-        # and hedges each distribution independently; unsplit pairs
+        # Hot-path caches: quorum -> sorted member tuple, (path, quorum)
+        # -> hedge plan.  Plans are path-keyed because a split pair
+        # hedges each distribution independently; unsplit pairs
         # canonicalise both paths to "write" so nothing is computed
-        # twice.
+        # twice.  Restricted strategies are memoised by the strategy
+        # itself (Strategy.avoiding), shared by every coordinator.
         self._members_cache: Dict[Quorum, Tuple[int, ...]] = {}
-        self._avoiding_cache: Dict[Tuple[str, frozenset], Optional[Strategy]] = {}
         self._hedge_plans: Dict[
             Tuple[str, Quorum],
             Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]],
@@ -497,6 +498,8 @@ class Coordinator:
     # Quorum machinery
     # ------------------------------------------------------------------
     def _active_suspects(self) -> frozenset:
+        if not self._suspected:
+            return _NOBODY
         horizon = self._ops_issued - self.suspicion_ttl
         self._suspected = {
             rid: at for rid, at in self._suspected.items() if at > horizon
@@ -504,8 +507,8 @@ class Coordinator:
         return frozenset(self._suspected)
 
     def _open_breakers(self) -> frozenset:
-        if self.breaker_threshold <= 0:
-            return frozenset()
+        if self.breaker_threshold <= 0 or not self._breaker_open_until:
+            return _NOBODY
         return frozenset(
             rid
             for rid, until in self._breaker_open_until.items()
@@ -514,9 +517,13 @@ class Coordinator:
 
     def _blocked_replicas(self) -> frozenset:
         """Replicas excluded from quorum selection: suspects + open breakers."""
-        return self._active_suspects() | self._open_breakers()
+        suspects = self._active_suspects()
+        breakers = self._open_breakers()
+        return suspects | breakers if breakers else suspects
 
     def _note_success(self, rid: int) -> None:
+        if not (self._suspected or self._breaker_fails or self._breaker_open_until):
+            return
         self._suspected.pop(rid, None)
         self._breaker_fails.pop(rid, None)
         self._breaker_open_until.pop(rid, None)
@@ -567,25 +574,12 @@ class Coordinator:
     def _strategy_for(self, path: str) -> Strategy:
         return self.read_strategy if path == "read" else self.strategy
 
-    def _avoiding_strategy(self, path: str, blocked: frozenset) -> Optional[Strategy]:
-        """Memoised ``strategy.avoiding(blocked)`` per path — renormalising
-        the distribution is O(support), far too slow to redo per operation
-        while the same replicas stay suspected."""
-        cache_key = (path, blocked)
-        if cache_key in self._avoiding_cache:
-            return self._avoiding_cache[cache_key]
-        if len(self._avoiding_cache) >= self._AVOIDING_CACHE_LIMIT:
-            self._avoiding_cache.clear()
-        restricted = self._strategy_for(path).avoiding(blocked)
-        self._avoiding_cache[cache_key] = restricted
-        return restricted
-
     def _pick_quorum(self, path: str) -> Quorum:
         path = self._path_for(path)
         strategy = self._strategy_for(path)
         blocked = self._blocked_replicas()
         if blocked:
-            restricted = self._avoiding_strategy(path, blocked)
+            restricted = strategy.avoiding(blocked)
             if restricted is not None:
                 return restricted.quorums[restricted.sample_index(self.rng)]
             # Every quorum touches a blocked replica: optimistically forget
@@ -696,8 +690,9 @@ class Coordinator:
             if not remaining:
                 _wake(waiter)
 
-        submit = self.transport.submit
-        futures = [submit(rid, request, self.timeout, arrived) for rid in targets]
+        futures = self.transport.submit_many(
+            targets, lambda _rid: request, self.timeout, arrived
+        )
         try:
             await waiter
         except asyncio.CancelledError:
@@ -724,14 +719,18 @@ class Coordinator:
         ``winner`` is the first candidate whose members all acknowledged
         (None if no candidate completed); once a winner emerges, still-
         pending calls are absorbed as background stragglers.  Without a
-        winner the wait drains every call.
+        winner the wait drains every call.  If the caller is cancelled,
+        the requests still in flight are cancelled with it.
 
-        Replies are collected through the transport's ``notify``: each
-        resolved request is appended to an arrivals list and wakes the
-        phase's one waiter, and each wake takes *every* reply that has
-        arrived since the last one, in replica-id order.  A native
-        transport notifies inside the step that resolves the future, so
-        the waiter is woken without a callback hop of its own.
+        Replies come back through the transport's ``notify``, which a
+        native transport runs inside the step that resolves the reply.
+        A phase whose targets are exactly its one candidate quorum
+        cannot end before its last reply, so ``notify`` settles each
+        reply on the spot and wakes the phase's waiter once: for the
+        last reply, or for an error that is not a transport failure.
+        A hedged phase can end early, so each reply wakes the waiter,
+        and each wake takes *every* reply that has arrived since the
+        last one, in replica-id order.
 
         ``deferred_spares`` are hedge replicas *not yet contacted*: they
         are issued (via ``request_for``) as soon as ``hedge_delay_ms``
@@ -743,88 +742,136 @@ class Coordinator:
         delay apiece) never hedges at all.
         """
         loop = asyncio.get_running_loop()
-        # future -> replica id, for replies not yet taken into a batch
+        # future -> replica id, for replies not yet settled
         pending: Dict["asyncio.Future[Reply]", int] = {}
-        # resolved futures not yet taken, in notification order
-        arrivals: List["asyncio.Future[Reply]"] = []
         payloads: Dict[int, Dict[str, Any]] = {}
         failed: List[int] = []
         attempt_latency = 0.0
         winner: Optional[Quorum] = None
+        # The first error that is not a transport failure; the phase
+        # raises it once the waiting task runs.
+        error: Optional[BaseException] = None
         spares_pending = tuple(deferred_spares)
+        waiter: "asyncio.Future[None]" = loop.create_future()
+
+        def settle(rid: int, future: "asyncio.Future[Reply]") -> None:
+            nonlocal attempt_latency, error
+            exc = future.exception()
+            if exc is None:
+                reply = future.result()
+                attempt_latency = max(attempt_latency, reply.latency)
+                if reply.payload.get("ok"):
+                    payloads[rid] = reply.payload
+                else:
+                    failed.append(rid)
+            elif isinstance(exc, (ReplicaUnavailable, RequestTimeout)):
+                attempt_latency = max(attempt_latency, exc.latency)
+                failed.append(rid)
+                if isinstance(exc, RequestTimeout):
+                    self.metrics.record_timeout()
+                else:
+                    self.metrics.record_unavailable()
+            else:
+                error = exc
+
+        submit_many = self.transport.submit_many
+        timeout = self.timeout
+        primary, members = candidates[0]
+        if len(candidates) == 1 and targets == members and not spares_pending:
+
+            def settled(future: "asyncio.Future[Reply]") -> None:
+                nonlocal error
+                if error is not None:
+                    return  # left in pending, for _abandon
+                try:
+                    settle(pending.pop(future), future)
+                except Exception as exc:
+                    error = exc
+                if error is not None or not pending:
+                    _wake(waiter)
+
+            futures = submit_many(targets, request_for, timeout, settled)
+            pending.update(zip(futures, targets))
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                _abandon(pending)
+                raise
+            if error is not None:
+                _abandon(pending)
+                raise error
+            if self.require_full_quorum and len(payloads) == len(targets):
+                winner = primary
+            return payloads, failed, attempt_latency, winner
+
+        # resolved futures not yet taken, in notification order
+        arrivals: List["asyncio.Future[Reply]"] = []
         hedge_deadline = (
             loop.time() + self.hedge_delay_ms / 1000.0 if spares_pending else 0.0
         )
-        waiter: "asyncio.Future[None]" = loop.create_future()
 
         def arrived(future: "asyncio.Future[Reply]") -> None:
             arrivals.append(future)
             _wake(waiter)
 
-        submit = self.transport.submit
-        timeout = self.timeout
-        for rid in targets:
-            pending[submit(rid, request_for(rid), timeout, arrived)] = rid
+        futures = submit_many(targets, request_for, timeout, arrived)
+        pending.update(zip(futures, targets))
 
         def issue_spares() -> None:
             nonlocal spares_pending
             self.metrics.record_hedges_issued(len(spares_pending))
-            for rid in spares_pending:
-                pending[submit(rid, request_for(rid), timeout, arrived)] = rid
+            spares = submit_many(spares_pending, request_for, timeout, arrived)
+            pending.update(zip(spares, spares_pending))
             spares_pending = ()
 
-        while pending:
-            timer = None
-            if spares_pending:
-                # Re-armed on every wait, as an asyncio.wait timeout
-                # is, so hedged phases keep their seeded event order.
-                timer = loop.call_later(
-                    max(0.0, hedge_deadline - loop.time()), _wake, waiter
-                )
-            await waiter
-            waiter = loop.create_future()
-            if timer is not None:
-                timer.cancel()
-            if not arrivals:
-                # Hedge delay elapsed with the fan-out still incomplete.
-                issue_spares()
-                continue
-            batch = sorted((pending[future], future) for future in arrivals)
-            arrivals.clear()
-            for rid, future in batch:
-                del pending[future]
-                exc = future.exception()
-                if exc is None:
-                    reply = future.result()
-                    attempt_latency = max(attempt_latency, reply.latency)
-                    if reply.payload.get("ok"):
-                        payloads[rid] = reply.payload
-                    else:
-                        failed.append(rid)
-                elif isinstance(exc, (ReplicaUnavailable, RequestTimeout)):
-                    attempt_latency = max(attempt_latency, exc.latency)
-                    failed.append(rid)
-                    if isinstance(exc, RequestTimeout):
-                        self.metrics.record_timeout()
-                    else:
-                        self.metrics.record_unavailable()
-                else:
-                    # The rest of this batch is retrieved and whatever is
-                    # still in flight cancelled, so nothing is left with
-                    # an exception nobody will ever read.
-                    _abandon(pending)
-                    raise exc
-            if self.require_full_quorum and winner is None:
-                for candidate, candidate_members in candidates:
-                    if all(rid in payloads for rid in candidate_members):
-                        winner = candidate
+        try:
+            while pending:
+                timer = None
+                if spares_pending:
+                    # Re-armed on every wait, as an asyncio.wait timeout
+                    # is, so hedged phases keep their seeded event order.
+                    timer = loop.call_later(
+                        max(0.0, hedge_deadline - loop.time()), _wake, waiter
+                    )
+                try:
+                    await waiter
+                finally:
+                    if timer is not None:
+                        timer.cancel()
+                waiter = loop.create_future()
+                if not arrivals:
+                    # Hedge delay elapsed with the fan-out still incomplete.
+                    issue_spares()
+                    continue
+                batch = sorted((pending[future], future) for future in arrivals)
+                arrivals.clear()
+                for rid, future in batch:
+                    del pending[future]
+                    settle(rid, future)
+                    if error is not None:
                         break
-                if winner is not None:
+                if error is not None:
                     break
-            if failed and spares_pending:
-                # A member failed outright: hedge immediately, an
-                # alternate candidate may still complete the phase.
-                issue_spares()
+                if self.require_full_quorum and winner is None:
+                    for candidate, candidate_members in candidates:
+                        if all(rid in payloads for rid in candidate_members):
+                            winner = candidate
+                            break
+                    if winner is not None:
+                        break
+                if failed and spares_pending:
+                    # A member failed outright: hedge immediately, an
+                    # alternate candidate may still complete the phase.
+                    issue_spares()
+        except asyncio.CancelledError:
+            _abandon(pending)
+            raise
+        if error is not None:
+            # The rest of the batch is retrieved and whatever is still
+            # in flight cancelled, so nothing is left with an exception
+            # nobody will ever read.
+            _abandon(pending)
+            raise error
         for future, rid in pending.items():
             self._absorb_straggler(rid, future, hint)
         return payloads, failed, attempt_latency, winner

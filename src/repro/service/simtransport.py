@@ -40,6 +40,7 @@ from ..runtime.metrics import Counter
 from .replica import Replica
 from .transport import (
     DEFAULT_TIMEOUT_MS,
+    LatencyDraws,
     Notify,
     Reply,
     ReplicaUnavailable,
@@ -92,7 +93,10 @@ class SimTransport(Transport):
         :class:`~repro.runtime.clock.VirtualTimeLoop` running it.
     seed / rng:
         Latency randomness — an int seed, or a generator (e.g. a named
-        stream from :class:`~repro.runtime.rng.RngStreams`).
+        stream from :class:`~repro.runtime.rng.RngStreams`).  The
+        transport owns the generator: latencies are drawn from it in
+        blocks (:class:`~repro.service.transport.LatencyDraws`), and
+        :attr:`rng` hands it back rewound to the scalar stream.
     base_latency, mean_latency:
         Message latency (ms) is ``base + Exp(mean)`` per call, the same
         distribution (and draw order) as the in-process transport.
@@ -143,7 +147,9 @@ class SimTransport(Transport):
         if service_time_ms < 0:
             raise ServiceError("service time must be non-negative")
         self.clock: Clock = clock if clock is not None else VirtualClock()
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self._latencies = LatencyDraws(
+            rng if rng is not None else np.random.default_rng(seed)
+        )
         self.base_latency = base_latency
         self.mean_latency = mean_latency
         self.crash_rate = crash_rate
@@ -156,6 +162,12 @@ class SimTransport(Transport):
         self.unavailable = Counter()
         # replica id -> virtual time its FIFO queue drains (capacity model)
         self._busy_until: Dict[int, float] = {}
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The transport's generator, in the state one scalar latency
+        draw per call would have left it."""
+        return self._latencies.synced()
 
     # ------------------------------------------------------------------
     # Crash injection (drop-in for InProcessTransport's API)
@@ -192,7 +204,9 @@ class SimTransport(Transport):
         The latency draw, the crash check and the FIFO slot are decided at
         submission; the returned future resolves once that many
         milliseconds of clock time have passed (a loop timer, no task),
-        and ``notify`` runs inside that timer.
+        and ``notify`` runs inside that timer.  A fan-out goes through
+        the inherited :meth:`submit_many`: every reply needs a timer of
+        its own anyway.
         """
         replica = self.replicas.get(replica_id)
         if replica is None:
@@ -204,7 +218,7 @@ class SimTransport(Transport):
         # does not depend on the current crash set — the identical
         # discipline (and distribution) as InProcessTransport, which is
         # what makes sim-mode and wall-mode runs produce the same draws.
-        latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
+        latency = self._latencies.next(self.base_latency, self.mean_latency)
         if replica_id in self.down:
             # A crashed replica never answers: the caller burns the full
             # deadline — in clock time, not just on paper.

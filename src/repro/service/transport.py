@@ -41,6 +41,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -121,6 +122,37 @@ def _deliver(
         notify(future)
 
 
+#: One started request of a fan-out: ``(future, replica to deliver to,
+#: or None if it failed at submission, request, latency)``.
+_Started = Tuple["asyncio.Future[Reply]", Optional[Replica], Dict[str, Any], float]
+
+
+def _deliver_all(
+    loop: asyncio.AbstractEventLoop, batch: List[_Started], notify: Optional[Notify]
+) -> None:
+    """Run one fan-out's deliveries in submission order, in one loop step.
+
+    An entry without a replica failed at submission and only needs
+    ``notify`` (it is in the batch only when there is one).  A raising
+    ``notify`` is reported to the loop's exception handler, as a handle
+    of its own would have been, and the rest of the batch still runs.
+    """
+    for future, replica, request, latency in batch:
+        try:
+            if replica is None:
+                notify(future)
+            else:
+                _deliver(future, replica, request, latency, False, notify)
+        except Exception as exc:
+            loop.call_exception_handler(
+                {
+                    "message": f"Exception in callback {notify!r}",
+                    "exception": exc,
+                    "future": future,
+                }
+            )
+
+
 def _notify_unless_cancelled(
     notify: Notify, future: "asyncio.Future[Reply]"
 ) -> None:
@@ -128,19 +160,71 @@ def _notify_unless_cancelled(
         notify(future)
 
 
+#: Standard-exponential variates drawn per block by :class:`LatencyDraws`.
+LATENCY_BLOCK = 256
+
+
+class LatencyDraws:
+    """Exponential message latencies drawn from ``rng`` a block at a time.
+
+    ``rng.exponential(mean)`` is ``mean * rng.standard_exponential()``,
+    and numpy fills a block with the same standard variates, in the same
+    order, as one scalar call each.  So :meth:`next` returns, bit for
+    bit, what one ``base + rng.exponential(mean)`` per call would, with
+    ``base`` and ``mean`` read at draw time.
+
+    The generator runs ahead by the unused tail of the current block.
+    :meth:`synced` rewinds it to where scalar draws would have left it
+    (restore the state saved before the block, redraw the consumed
+    count), so anything else drawing from the generator sees the
+    scalar stream too.
+    """
+
+    __slots__ = ("_rng", "_block", "_used", "_state")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block: List[float] = []
+        self._used = 0
+        self._state: Optional[Dict[str, Any]] = None
+
+    def next(self, base: float, mean: float) -> float:
+        """One latency: ``base`` plus an exponential of mean ``mean``."""
+        used = self._used
+        block = self._block
+        if used == len(block):
+            self._state = self._rng.bit_generator.state
+            block = self._block = self._rng.standard_exponential(LATENCY_BLOCK).tolist()
+            used = 0
+        self._used = used + 1
+        return base + mean * block[used]
+
+    def synced(self) -> np.random.Generator:
+        """The generator, rewound past exactly the variates used so far."""
+        if self._used < len(self._block):
+            self._rng.bit_generator.state = self._state
+            if self._used:
+                self._rng.standard_exponential(self._used)
+        self._block = []
+        self._used = 0
+        return self._rng
+
+
 class Transport(ABC):
     """Request/response channel from a coordinator to replicas.
 
-    :meth:`submit` is the one fan-out primitive: it starts a request and
-    returns a future of its :class:`Reply` at once, so a coordinator can
-    contact a whole quorum in a plain loop and collect the replies
-    through ``notify``.  :meth:`call` is its await.  The in-process,
-    virtual-time and binary TCP transports implement ``submit``
-    natively, without a task, and run ``notify`` inside the step that
-    resolves the future; every other transport (fault injection, the
-    JSON clients, test fakes) only writes ``call`` and inherits a
-    ``submit`` that runs it in a task and registers ``notify`` as a
-    done-callback.
+    :meth:`submit` starts one request and returns a future of its
+    :class:`Reply` at once; :meth:`submit_many` starts a whole quorum's
+    requests, which is how a coordinator fans out, and the replies come
+    back through ``notify``.  :meth:`call` is the await of one request.
+    The in-process, virtual-time and binary TCP transports implement
+    ``submit`` natively, without a task, and run ``notify`` inside the
+    step that resolves the future; every other transport (fault
+    injection, the JSON clients, test fakes) only writes ``call`` and
+    inherits a ``submit`` that runs it in a task and registers
+    ``notify`` as a done-callback.  ``submit_many`` loops over
+    ``submit`` unless a transport can do better: the in-process one
+    delivers a whole fan-out in one loop step.
     """
 
     def submit(
@@ -167,6 +251,22 @@ class Transport(ABC):
                 functools.partial(_notify_unless_cancelled, notify)
             )
         return future
+
+    def submit_many(
+        self,
+        targets: Sequence[int],
+        request_for: Callable[[int], Dict[str, Any]],
+        timeout: float,
+        notify: Notify,
+    ) -> List["asyncio.Future[Reply]"]:
+        """Start ``request_for(rid)`` at every target, in target order.
+
+        Returns the futures in target order.  Each obeys the
+        :meth:`submit` contract, and ``notify`` runs for them in the
+        order their replies resolve, never before this call returns.
+        """
+        submit = self.submit
+        return [submit(rid, request_for(rid), timeout, notify) for rid in targets]
 
     @abstractmethod
     async def call(
@@ -201,7 +301,8 @@ class InProcessTransport(Transport):
     seed:
         Seed for the transport RNG (latencies and crash epochs).
     base_latency, mean_latency:
-        Message latency (virtual ms) is ``base + Exp(mean)`` per call.
+        Message latency (virtual ms) is ``base + Exp(mean)`` per call,
+        drawn in call order (see :class:`LatencyDraws`).
     crash_rate:
         The paper's iid crash probability ``p`` used by
         :meth:`resample_crashes`; each epoch resample draws every
@@ -227,13 +328,19 @@ class InProcessTransport(Transport):
             raise ServiceError(f"crash rate must be in [0,1], got {crash_rate}")
         if base_latency < 0 or mean_latency < 0:
             raise ServiceError("latencies must be non-negative")
-        self.rng = np.random.default_rng(seed)
+        self._latencies = LatencyDraws(np.random.default_rng(seed))
         self.base_latency = base_latency
         self.mean_latency = mean_latency
         self.crash_rate = crash_rate
         self.down: frozenset = frozenset()
         self.epochs = 0
         self.calls = 0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The transport's generator, in the state one scalar latency
+        draw per call would have left it."""
+        return self._latencies.synced()
 
     # ------------------------------------------------------------------
     # Crash injection
@@ -270,29 +377,59 @@ class InProcessTransport(Transport):
         timeout: float = DEFAULT_TIMEOUT_MS,
         notify: Optional[Notify] = None,
     ) -> "asyncio.Future[Reply]":
-        replica = self.replicas.get(replica_id)
-        if replica is None:
-            raise ServiceError(f"unknown replica id {replica_id}")
-        self.calls += 1
+        return self.submit_many((replica_id,), lambda _rid: request, timeout, notify)[0]
+
+    def submit_many(
+        self,
+        targets: Sequence[int],
+        request_for: Callable[[int], Dict[str, Any]],
+        timeout: float,
+        notify: Optional[Notify],
+    ) -> List["asyncio.Future[Reply]"]:
+        """Draw every request's latency and crash / timeout outcome now;
+        deliver the replies in one loop handle on the next turn.
+
+        The handle runs each member's delivery, or the ``notify`` of a
+        request that failed here, in target order: the same steps, in
+        the same order, as one handle per request, which would have been
+        contiguous in the ready queue.
+        """
         loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        # Draw the round-trip latency unconditionally so the RNG stream
-        # does not depend on the current crash set.
-        latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
-        if replica_id in self.down:
-            # A crashed replica never answers: the caller burns the full
-            # deadline discovering it.
-            future.set_exception(ReplicaUnavailable(replica_id, latency=timeout))
-        elif latency > timeout:
-            future.set_exception(RequestTimeout(replica_id, latency=timeout))
-        else:
-            # Deliver on the next loop turn, so a fan-out's requests
+        draw = self._latencies.next
+        base, mean = self.base_latency, self.mean_latency
+        futures = []
+        batch: List[_Started] = []
+        try:
+            for rid in targets:
+                request = request_for(rid)
+                replica = self.replicas.get(rid)
+                if replica is None:
+                    raise ServiceError(f"unknown replica id {rid}")
+                self.calls += 1
+                future = loop.create_future()
+                futures.append(future)
+                # Draw the round-trip latency unconditionally so the RNG
+                # stream does not depend on the current crash set.
+                latency = draw(base, mean)
+                if rid in self.down:
+                    # A crashed replica never answers: the caller burns
+                    # the full deadline discovering it.
+                    future.set_exception(ReplicaUnavailable(rid, latency=timeout))
+                elif latency > timeout:
+                    future.set_exception(RequestTimeout(rid, latency=timeout))
+                else:
+                    batch.append((future, replica, request, latency))
+                    continue
+                if notify is not None:
+                    batch.append((future, None, request, latency))
+        finally:
+            # Delivered on the next loop turn, so a fan-out's requests
             # interleave with other clients' instead of running inline.
-            loop.call_soon(_deliver, future, replica, request, latency, False, notify)
-            return future
-        if notify is not None:
-            loop.call_soon(notify, future)
-        return future
+            # An unknown id raises mid fan-out; the requests already
+            # started are still delivered.
+            if batch:
+                loop.call_soon(_deliver_all, loop, batch, notify)
+        return futures
 
     async def call(
         self,

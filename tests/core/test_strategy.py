@@ -195,6 +195,26 @@ class TestAvoiding:
         strategy = Strategy.uniform(star)
         assert strategy.avoiding(set(range(100))) is None
 
+    def test_avoiding_is_memoised_per_blocked_set(self, star):
+        strategy = Strategy.uniform(star)
+        restricted = strategy.avoiding({1})
+        assert strategy.avoiding(frozenset({1})) is restricted
+        assert strategy.avoiding([1, 1]) is restricted
+        assert strategy.avoiding({2}) is not restricted
+        assert strategy.avoiding({0}) is None
+        assert frozenset({0}) in strategy._avoiding  # None is remembered too
+
+    def test_avoiding_memo_is_bounded(self, star, monkeypatch):
+        from repro.core import strategy as strategy_module
+
+        monkeypatch.setattr(strategy_module, "AVOIDING_MEMO_LIMIT", 2)
+        strategy = Strategy.uniform(star)
+        for blocked in ({1}, {2}, {3}, {1, 2}, {1, 3}):
+            restricted = strategy.avoiding(blocked)
+            assert len(strategy._avoiding) <= 2
+            expected = [q for q in strategy.quorums if not q & blocked]
+            assert list(restricted.quorums) == expected
+
 
 class TestLeastDamaged:
     def test_empty_down_set_returns_heaviest_quorum(self, star):

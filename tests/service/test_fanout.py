@@ -1,14 +1,15 @@
-"""The quorum fan-out: one ``submit`` primitive, collected through
+"""The quorum fan-out: one ``submit_many`` primitive, collected through
 ``notify``.
 
-Six kinds of guard:
+Eight kinds of guard:
 
 * **bit identity** — golden digests of seeded runs.  They were computed
   before the coordinator switched from one task per contacted replica
   (``ensure_future(transport.call(...))`` collected by ``asyncio.wait``)
   to futures from ``Transport.submit`` collected by done-callbacks, and
-  the switch left them unchanged, as did the later switch from
-  done-callbacks to the transports' ``notify``.  A change to the fan-out
+  the switch left them unchanged, as did the later switches from
+  done-callbacks to the transports' ``notify`` and from one delivery
+  handle per request to one per fan-out.  A change to the fan-out
   or to event order that moves them must update them on purpose and say
   why;
 * **no tasks** — the coordinator creates no asyncio task per quorum
@@ -19,9 +20,15 @@ Six kinds of guard:
   raised while delivering land on the future;
 * **the notify contract** of every native transport: ``notify`` runs
   once per resolved request, never for a cancelled one, never inside
-  ``submit``;
+  ``submit`` or ``submit_many``;
+* **the delivery batch** of the in-process transport: a raising
+  ``notify`` is reported to the loop and the rest of the fan-out is
+  still delivered;
 * **hop counts** — a k-member fan-out on the in-process transport
-  schedules k delivery callbacks plus one wake of the collecting task;
+  schedules one delivery handle plus one wake of the collecting task,
+  and a k-member read on the virtual-time transport wakes its task once;
+* **cancellation** — a quorum phase whose caller is cancelled cancels
+  its in-flight requests, hedged or not;
 * **the gather contract** of ``Coordinator._gather``: outcomes in target
   order, errors returned rather than raised, in-flight requests
   cancelled with the caller.
@@ -52,7 +59,12 @@ from repro.service import (
     start_tcp_replicas,
 )
 from repro.service import wire
-from repro.service.transport import DEFAULT_TIMEOUT_MS, Reply, Transport, _deliver
+from repro.service.transport import (
+    DEFAULT_TIMEOUT_MS,
+    Reply,
+    Transport,
+    _deliver_all,
+)
 from repro.systems import MajorityQuorumSystem
 
 # ----------------------------------------------------------------------
@@ -381,6 +393,13 @@ class Notified:
         finally:
             self.submitting = False
 
+    def submit_many(self, transport, targets, request_for, timeout):
+        self.submitting = True
+        try:
+            return transport.submit_many(targets, request_for, timeout, self)
+        finally:
+            self.submitting = False
+
 
 @pytest.mark.parametrize("make", [inprocess, sim], ids=["inprocess", "sim"])
 class TestNotifyContract:
@@ -430,6 +449,81 @@ class TestNotifyContract:
 
         run(main())
         assert notified.futures == []
+
+    def test_fan_out_notifies_each_request_once_after_it_returns(self, make):
+        replicas = [Replica(rid) for rid in range(4)]
+        transport, run = make(replicas)
+        transport.crash(2)
+        notified = Notified()
+        targets = [3, 0, 2, 1]
+        asked = []
+
+        def request_for(rid):
+            asked.append(rid)
+            return {"op": "ping"}
+
+        async def main():
+            futures = notified.submit_many(
+                transport, targets, request_for, DEFAULT_TIMEOUT_MS
+            )
+            assert notified.futures == []
+            await asyncio.sleep(0.1)
+            return futures
+
+        futures = run(main())
+        assert asked == targets
+        assert int(transport.calls) == 4
+        assert sorted(map(id, notified.futures)) == sorted(map(id, futures))
+        assert notified.inside_submit == [False] * 4
+        if make is inprocess:
+            # One delivery step, in target order.
+            assert notified.futures == futures
+        for rid, future in zip(targets, futures):
+            if rid == 2:
+                assert isinstance(future.exception(), ReplicaUnavailable)
+            else:
+                assert future.result().payload["replica"] == rid
+
+
+class TestDeliveryBatch:
+    def test_a_raising_notify_is_reported_and_the_batch_goes_on(self):
+        replicas = [Replica(rid) for rid in range(3)]
+        transport = InProcessTransport(replicas, seed=0)
+        transport.crash(1)
+        notified = []
+
+        def notify(future):
+            notified.append(future)
+            if len(notified) == 1:
+                raise RuntimeError("collector broke")
+
+        async def main():
+            errors = record_loop_errors()
+            futures = transport.submit_many(
+                [0, 1, 2], lambda rid: WRITE, DEFAULT_TIMEOUT_MS, notify
+            )
+            await asyncio.sleep(0)
+            return futures, errors
+
+        futures, errors = asyncio.run(main())
+        assert notified == futures
+        assert isinstance(futures[1].exception(), ReplicaUnavailable)
+        assert [replica.writes_applied for replica in replicas] == [1, 0, 1]
+        assert len(errors) == 1
+        assert isinstance(errors[0]["exception"], RuntimeError)
+        assert errors[0]["future"] is futures[0]
+
+    def test_no_targets_schedule_nothing(self):
+        transport = InProcessTransport([Replica(0)], seed=0)
+
+        async def fan_out_to_nobody():
+            assert transport.submit_many([], dict, DEFAULT_TIMEOUT_MS, print) == []
+
+        async def main():
+            return await scheduled_during(fan_out_to_nobody())
+
+        assert asyncio.run(main()) == []
+        assert transport.calls == 0
 
 
 async def slow_binary_server(delay):
@@ -553,20 +647,22 @@ def single_quorum(n, quorum):
 
 class TestHopCount:
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_write_costs_one_delivery_per_member_and_one_wake(self, n):
+    def test_write_costs_one_delivery_handle_and_one_wake(self, n):
         k = n // 2 + 1
         system, strategy = single_quorum(n, range(k))
-        transport = InProcessTransport(make_replicas(system), seed=1)
+        replicas = make_replicas(system)
+        transport = InProcessTransport(replicas, seed=1)
         coordinator = Coordinator(system, transport, strategy, seed=0)
 
         async def main():
             return await scheduled_during(coordinator.write("k", 1))
 
         scheduled = asyncio.run(main())
-        assert scheduled.count(_deliver) == k
-        assert len(scheduled) == k + 1
+        assert sum(replica.writes_applied for replica in replicas) == k
+        assert scheduled.count(_deliver_all) == 1
+        assert len(scheduled) == 2
 
-    def test_read_repair_costs_one_wake_per_batch(self):
+    def test_read_repair_costs_two_handles_and_two_wakes(self):
         system, strategy = single_quorum(5, {0, 1, 2})
         replicas = make_replicas(system)
         replicas[0].handle(WRITE)  # 1 and 2 are stale
@@ -578,9 +674,74 @@ class TestHopCount:
 
         scheduled = asyncio.run(main())
         assert coordinator.metrics.read_repairs == 2
-        # Read: 3 deliveries + 1 wake; repair of 1 and 2: 2 + 1.
-        assert scheduled.count(_deliver) == 5
-        assert len(scheduled) == 7
+        # Read: 1 delivery handle + 1 wake; repair of 1 and 2: 1 + 1.
+        assert scheduled.count(_deliver_all) == 2
+        assert len(scheduled) == 4
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_sim_read_wakes_its_task_once(self, n):
+        # Each reply is a timer at its own virtual instant; only the last
+        # one can end the phase, so only the last one wakes the task.
+        k = n // 2 + 1
+        system, strategy = single_quorum(n, range(k))
+        clock = VirtualClock()
+        transport = SimTransport(make_replicas(system), clock=clock, seed=1)
+        coordinator = Coordinator(system, transport, strategy, seed=0)
+
+        async def main():
+            return await scheduled_during(coordinator.read("k"))
+
+        scheduled = run_virtual(main(), clock=clock)
+        assert int(transport.calls) == k
+        assert coordinator.metrics.read_repairs == 0
+        assert len(scheduled) == 1
+
+    def test_sim_read_past_a_crash_wakes_its_task_once(self):
+        system, strategy = single_quorum(5, {0, 1, 2})
+        clock = VirtualClock()
+        transport = SimTransport(make_replicas(system), clock=clock, seed=1)
+        transport.crash(1)
+        coordinator = Coordinator(system, transport, strategy, seed=0, max_attempts=1)
+
+        async def main():
+            with pytest.raises(Exception, match="read"):
+                await coordinator.read("k")
+
+        scheduled = run_virtual(scheduled_during(main()), clock=clock)
+        assert coordinator.metrics.unavailable == 1
+        assert len(scheduled) == 1
+
+
+class TestCancelledPhase:
+    @pytest.mark.parametrize(
+        "hedging",
+        [{}, {"hedge_spares": 1}, {"hedge_spares": 1, "hedge_delay_ms": 2.0}],
+        ids=["plain", "upfront-spare", "deferred-spare"],
+    )
+    def test_cancelled_write_cancels_its_requests(self, hedging):
+        system = MajorityQuorumSystem.of_size(5)
+        # {1, 2, 3} is never drawn, only hedged to.
+        strategy = Strategy(system, [{0, 1, 2}, {1, 2, 3}], [1.0, 0.0])
+        replicas = make_replicas(system)
+        clock = VirtualClock()
+        transport = SimTransport(replicas, clock=clock, seed=1)
+        transport.crash(0)
+        coordinator = Coordinator(system, transport, strategy, seed=0, **hedging)
+
+        async def main():
+            errors = record_loop_errors()
+            task = asyncio.ensure_future(coordinator.write("k", 1))
+            await asyncio.sleep(0)  # the write has fanned out
+            assert int(transport.calls) >= 3
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            await asyncio.sleep(1.0)  # past every reply and the deadline
+            gc.collect()
+            return errors
+
+        assert run_virtual(main(), clock=clock) == []
+        assert sum(replica.writes_applied for replica in replicas) == 0
 
 
 # ----------------------------------------------------------------------

@@ -303,6 +303,22 @@ class TestAmortizedHotPath:
         assert stats["alias_builds"] == 1
         assert stats["samples_drawn"] == 200  # exactly one draw per op
 
+    def test_second_coordinator_reuses_the_lifted_pair(self, monkeypatch):
+        from repro.core import bitpack
+
+        system = MajorityQuorumSystem.of_size(5)
+        strategy = Strategy.uniform(system)
+        transport = InProcessTransport(make_replicas(system), seed=0)
+        first = Coordinator(system, transport, strategy, seed=0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("2-intersection re-checked")
+
+        monkeypatch.setattr(bitpack, "pack_one", forbidden)
+        second = Coordinator(system, transport, strategy, seed=1)
+        assert second.rw_strategy is first.rw_strategy
+        assert second.strategy is second.read_strategy is strategy
+
     def test_member_tuples_and_avoiding_strategies_are_reused(self):
         system = MajorityQuorumSystem.of_size(5)
         strategy = Strategy.uniform(system)
@@ -312,9 +328,9 @@ class TestAmortizedHotPath:
         # Identity, not equality: the hot path returns the cached object.
         assert coordinator._members_for(quorum) is coordinator._members_for(quorum)
         blocked = frozenset({1})
-        assert coordinator._avoiding_strategy("write", blocked) is (
-            coordinator._avoiding_strategy("write", blocked)
-        )
+        # Restricted strategies are memoised on the strategy, shared by
+        # every coordinator serving it.
+        assert coordinator.strategy.avoiding(blocked) is strategy.avoiding(blocked)
         spares_and_candidates = coordinator._hedge_plan("write", quorum)
         assert coordinator._hedge_plan("write", quorum) is spares_and_candidates
         # An unsplit pair canonicalises the read path onto the same
