@@ -8,19 +8,20 @@ triangle) and across transports:
 * ``inprocess_faults``   — same, with iid crash injection;
 * ``inprocess_hedged``   — same, with one hedge spare per quorum phase;
 * ``tcp_pipelined``      — localhost TCP, JSON lines, correlation-id
-  multiplexed;
-* ``tcp_hedged``         — pipelined TCP plus one hedge spare;
-* ``tcp_serialized``     — localhost TCP over the preserved
-  lock-per-replica baseline client (the pre-overhaul hot path);
+  multiplexed: the baseline binary v2 replaced, kept only in
+  ``_json_baseline.py`` and run through ``run_workload`` on its own
+  JSON-lines servers;
+* ``tcp_hedged``         — binary v2 TCP plus one hedge spare;
 * ``tcp_binary``         — localhost TCP over the struct-packed,
-  op-coalescing binary wire protocol v2.
+  op-coalescing binary wire protocol v2 (the product's TCP path).
 
 plus two scaling studies:
 
 * the **wire matrix** — protocol (pipelined JSON, binary, binary
   without coalescing) × server core count (``workers`` = 0 in-loop,
-  1, 2 OS processes) under a transport-level closed-loop quorum-read
-  fan-out at 8 clients.  This isolates the wire from the coordinator:
+  1, 2 OS processes; the JSON baseline runs at 0 only, because worker
+  processes serve binary v2) under a transport-level closed-loop
+  quorum-read fan-out at 8 clients.  This isolates the wire from the coordinator:
   end-to-end ops/s blends strategy sampling, quorum bookkeeping and
   event-loop scheduling with the protocol cost, so the matrix is where
   the codec's speedup is visible undiluted.  Two gates ride on it:
@@ -66,16 +67,19 @@ import itertools
 import json
 import sys
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from _json_baseline import TcpTransport, start_json_replicas
+from repro.analysis.load import optimal_strategy
 from repro.cli import build_system
 from repro.service import (
     BenchmarkReport,
     BinaryTcpTransport,
     ReplicaCluster,
-    TcpTransport,
+    WorkloadConfig,
     make_replicas,
     run_kv_benchmark,
+    run_workload,
     start_tcp_replicas,
     transport_summary,
 )
@@ -86,29 +90,31 @@ CLIENTS = 8
 
 SYSTEMS = ("majority:5", "hgrid:4x4", "htgrid:4x4", "htriang:15")
 
-#: scenario name -> run_kv_benchmark keyword overrides
-SCENARIOS: Dict[str, Dict[str, Any]] = {
+#: scenario name -> run_kv_benchmark keyword overrides (None: the JSON
+#: baseline, run by :func:`run_json_baseline`)
+SCENARIOS: Dict[str, Optional[Dict[str, Any]]] = {
     "inprocess": {},
     "inprocess_faults": {"crash_rate": 0.1},
     "inprocess_hedged": {"hedge_spares": 1},
-    "tcp_pipelined": {"tcp_local": True},
+    "tcp_pipelined": None,
     # Dean-style deferred hedging: one spare, fired only when a quorum
     # phase is still incomplete well past the fault-free p99 (~1.5ms) —
     # on a healthy localhost run the fast path issues ~no spares, so
     # hedging must cost ~nothing; hedge *wins* show up under faults.
     "tcp_hedged": {"tcp_local": True, "hedge_spares": 1, "hedge_delay_ms": 20.0},
-    "tcp_serialized": {"tcp_local": True, "serialized": True},
-    "tcp_binary": {"tcp_local": True, "binary": True},
+    "tcp_binary": {"tcp_local": True},
 }
 
 #: scenarios where every operation must succeed (no faults injected)
 FAULT_FREE = tuple(name for name in SCENARIOS if "faults" not in name)
 
 #: wire-matrix axes: systems kept to two families to bound runtime,
-#: protocol x server core count.
+#: protocol x server core count.  Worker processes serve binary v2
+#: only, so the JSON baseline runs in-loop (workers=0) only.
 WIRE_SYSTEMS = ("majority:5", "htriang:15")
 WIRE_PROTOCOLS = ("json", "binary", "binary_nocoalesce")
 WIRE_WORKERS = (0, 1, 2)
+JSON_WIRE_WORKERS = (0,)
 
 #: read/write capacity-matrix axes and gates
 RW_SYSTEMS = ("grid:4x4", "hgrid:4x4", "htgrid:4x4", "htriang:15")
@@ -139,6 +145,43 @@ def summarize(report: BenchmarkReport) -> Dict[str, Any]:
     }
 
 
+def run_json_baseline(system, seed: int, ops: int, clients: int) -> BenchmarkReport:
+    """``tcp_local`` kvbench over the pipelined JSON-lines baseline.
+
+    The same ``run_workload`` as ``run_kv_benchmark(tcp_local=True)``,
+    with the JSON-lines client and in-loop JSON-lines servers from
+    ``_json_baseline`` in place of binary v2.
+    """
+    strategy = optimal_strategy(system)
+    config = WorkloadConfig(ops=ops, clients=clients)
+    config.validate()
+
+    async def run():
+        servers, addresses = await start_json_replicas(make_replicas(system))
+        transport = TcpTransport(addresses)
+        try:
+            metrics = await run_workload(system, transport, strategy, config, seed=seed)
+        finally:
+            await transport.close()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+        return metrics, transport_summary(transport)
+
+    metrics, stats = asyncio.run(run())
+    return BenchmarkReport(
+        system_name=system.system_name,
+        n=system.n,
+        seed=seed,
+        config=config,
+        metrics=metrics,
+        predicted_loads=strategy.element_loads(),
+        lp_load=strategy.induced_load(),
+        elapsed_seconds=metrics.elapsed_seconds,
+        transport_stats=stats,
+    )
+
+
 # ----------------------------------------------------------------------
 # Wire matrix: transport-level quorum fan-out, no coordinator
 # ----------------------------------------------------------------------
@@ -151,6 +194,8 @@ def _wire_cell(
     quorum (rotating through the first 8 quorums), awaits the full
     quorum, repeats.  ``workers=0`` serves replicas on the benchmark's
     own loop; ``workers>=1`` hosts them in that many OS processes.
+    The ``json`` protocol serves from ``_json_baseline``'s in-loop
+    JSON-lines servers.
     """
     system = build_system(spec)
     quorums = [
@@ -165,6 +210,8 @@ def _wire_cell(
         servers: List[asyncio.AbstractServer] = []
         if cluster is not None:
             addresses = cluster.addresses
+        elif protocol == "json":
+            servers, addresses = await start_json_replicas(make_replicas(system))
         else:
             servers, addresses = await start_tcp_replicas(make_replicas(system))
         if protocol == "json":
@@ -175,7 +222,7 @@ def _wire_cell(
             transport = BinaryTcpTransport(addresses, coalesce=False)
         else:
             raise ValueError(f"unknown protocol {protocol!r}")
-        submit = getattr(transport, "submit", None)
+        submit = transport.submit
         request = {"op": "read", "key": "k"}
         done = 0
 
@@ -185,14 +232,7 @@ def _wire_cell(
             while done < ops:
                 done += 1
                 quorum = quorums[(cid + i) % len(quorums)]
-                if submit is not None:
-                    calls = [submit(rid, request) for rid in quorum]
-                else:
-                    calls = [
-                        asyncio.ensure_future(transport.call(rid, request))
-                        for rid in quorum
-                    ]
-                await asyncio.gather(*calls)
+                await asyncio.gather(*[submit(rid, request) for rid in quorum])
                 i += 1
 
         started = time.perf_counter()
@@ -238,7 +278,7 @@ def run_wire_matrix(
         per_spec: Dict[str, Any] = {}
         for protocol in WIRE_PROTOCOLS:
             per_worker: Dict[str, Any] = {}
-            for workers in WIRE_WORKERS:
+            for workers in JSON_WIRE_WORKERS if protocol == "json" else WIRE_WORKERS:
                 cell = _wire_cell(spec, protocol, workers, ops, clients)
                 per_worker[str(workers)] = cell
                 opf = cell.get("ops_per_frame")
@@ -430,13 +470,16 @@ def main() -> int:
         system = build_system(spec)
         per_system: Dict[str, Any] = {}
         for scenario, overrides in SCENARIOS.items():
-            report = run_kv_benchmark(
-                system,
-                seed=args.seed,
-                ops=ops,
-                clients=CLIENTS,
-                **overrides,
-            )
+            if overrides is None:
+                report = run_json_baseline(system, args.seed, ops, CLIENTS)
+            else:
+                report = run_kv_benchmark(
+                    system,
+                    seed=args.seed,
+                    ops=ops,
+                    clients=CLIENTS,
+                    **overrides,
+                )
             summary = summarize(report)
             per_system[scenario] = summary
             failed = summary["ops"]["failed"]
@@ -449,20 +492,11 @@ def main() -> int:
                 f"  failed={failed}"
             )
         pipelined = per_system["tcp_pipelined"]["ops_per_second"]
-        hedged = per_system["tcp_hedged"]["ops_per_second"]
-        serialized = per_system["tcp_serialized"]["ops_per_second"]
         binary = per_system["tcp_binary"]["ops_per_second"]
         per_system["tcp_speedup"] = {
-            "pipelined_vs_serialized": round(pipelined / serialized, 2),
-            "hedged_vs_serialized": round(hedged / serialized, 2),
-            "binary_vs_serialized": round(binary / serialized, 2),
             "binary_vs_pipelined": round(binary / pipelined, 2),
         }
-        print(
-            f"{spec:>12} speedup: pipelined {pipelined / serialized:.2f}x,"
-            f" binary {binary / serialized:.2f}x over serialized;"
-            f" binary {binary / pipelined:.2f}x over pipelined"
-        )
+        print(f"{spec:>12} speedup: binary {binary / pipelined:.2f}x over pipelined json")
         # Gate (satellite): the binary protocol must never lose to the
         # JSON client it replaces on the identical end-to-end workload.
         if binary < pipelined:

@@ -7,9 +7,9 @@ into a running service:
   (timestamp ordering, read-repair targets);
 * :mod:`repro.service.transport` — pluggable transports: a
   deterministic seeded in-process one (virtual latency, iid crash
-  epochs shared with :mod:`repro.sim.failures`), TCP/JSON-lines, and
-  the coalescing binary wire-v2 client (:mod:`repro.service.wire`) —
-  servers sniff the first byte, so one port speaks both protocols;
+  epochs shared with :mod:`repro.sim.failures`) and the coalescing
+  binary wire-v2 TCP client and replica servers
+  (:mod:`repro.service.wire`), the one TCP protocol;
 * :mod:`repro.service.cluster` — multi-process replica hosting
   (``workers=N`` OS processes behind one address map) with crash
   detection;
@@ -26,11 +26,10 @@ into a running service:
   flapping) applied by a :class:`FaultyTransport` over any transport;
 * :mod:`repro.service.cache` — coordinator-side TTL +
   stale-while-revalidate read cache (the tier the cache-avalanche
-  incident exercises);
-* :mod:`repro.service.chaos` — seeded randomized chaos runs with safety
-  invariant checking and measured-vs-exact availability, behind
-  ``quorumtool chaos``.  The engine itself now lives in
-  :mod:`repro.scenarios.engine`; this module re-exports it.
+  incident exercises).
+
+Seeded chaos runs over this stack (``quorumtool chaos``) live in
+:mod:`repro.scenarios`.
 """
 
 from .cache import CacheEntry, CoordinatorCache
@@ -70,35 +69,18 @@ from .transport import (
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
-    SerializedTcpTransport,
-    TcpTransport,
     Transport,
     TransportError,
     start_tcp_replicas,
 )
 from .wire import WireError
 
-# The chaos engine lives in repro.scenarios.engine (which imports the
-# service submodules above); resolve its exports lazily (PEP 562) so
-# `from repro.service import run_chaos` keeps working without a cycle.
-_CHAOS_EXPORTS = ("ChaosConfig", "ChaosReport", "run_chaos")
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BenchmarkReport",
     "BinaryTcpTransport",
     "CacheEntry",
-    "ChaosConfig",
     "CoordinatorCache",
-    "ChaosReport",
     "Coordinator",
     "ActivationLog",
     "ByzantineFault",
@@ -120,10 +102,8 @@ __all__ = [
     "ReplicaUnavailable",
     "Reply",
     "RequestTimeout",
-    "SerializedTcpTransport",
     "ServiceMetrics",
     "SimTransport",
-    "TcpTransport",
     "Transport",
     "TransportError",
     "Versioned",
@@ -134,7 +114,6 @@ __all__ = [
     "build_schedule",
     "key_weights",
     "make_replicas",
-    "run_chaos",
     "run_capacity_benchmark",
     "run_kv_benchmark",
     "run_workload",

@@ -47,8 +47,6 @@ from .transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
     InProcessTransport,
-    SerializedTcpTransport,
-    TcpTransport,
     Transport,
     start_tcp_replicas,
 )
@@ -371,8 +369,6 @@ def run_kv_benchmark(
     transport: Optional[Transport] = None,
     config: Optional[WorkloadConfig] = None,
     tcp_local: bool = False,
-    serialized: bool = False,
-    binary: bool = False,
     coalesce: bool = True,
     workers: int = 0,
     use_uvloop: bool = False,
@@ -384,7 +380,9 @@ def run_kv_benchmark(
     ``run_kv_benchmark(sys, ops=5000, crash_rate=0.1)`` works.  When no
     transport is given an in-process one is created with the requested
     crash rate; a caller-supplied transport (e.g. TCP against live
-    ``quorumtool serve`` replicas) is used as-is.
+    ``quorumtool serve`` replicas) is used as-is, and closed when the
+    run ends, like a built one: its connections belong to the event
+    loop this call runs and closes.
 
     ``read_write=True`` solves the read/write capacity LP
     (:func:`repro.analysis.capacity.read_write_capacity`) at the
@@ -394,13 +392,9 @@ def run_kv_benchmark(
     wins over the flag.
 
     ``tcp_local=True`` instead starts one localhost TCP server per
-    replica inside the event loop and benchmarks over real sockets —
-    the perf harness's end-to-end mode.  ``serialized=True`` (with
-    ``tcp_local``) swaps the pipelined client for the lock-per-replica
-    :class:`SerializedTcpTransport` to measure the pre-pipelining
-    baseline; ``binary=True`` swaps in the struct-packed
-    :class:`BinaryTcpTransport` instead (``coalesce=False`` keeps the
-    binary codec but frames each op individually).  ``workers=N``
+    replica inside the event loop and benchmarks over real sockets with
+    a :class:`BinaryTcpTransport` — the perf harness's end-to-end mode
+    (``coalesce=False`` frames each op individually).  ``workers=N``
     hosts the replicas in a :class:`~repro.service.cluster
     .ReplicaCluster` of N OS processes — built *before* the event loop
     starts, since forking under a running loop duplicates loop state —
@@ -416,12 +410,6 @@ def run_kv_benchmark(
     config.validate()
     if tcp_local and transport is not None:
         raise ServiceError("tcp_local builds its own transport; do not pass one")
-    if serialized and not tcp_local:
-        raise ServiceError("serialized baseline only applies to tcp_local mode")
-    if binary and not tcp_local:
-        raise ServiceError("binary transport only applies to tcp_local mode")
-    if binary and serialized:
-        raise ServiceError("pick one of binary or serialized, not both")
     if workers and not tcp_local:
         raise ServiceError("workers only apply to tcp_local mode")
 
@@ -436,8 +424,6 @@ def run_kv_benchmark(
             from ..analysis.load import optimal_strategy
 
             strategy = optimal_strategy(system)
-
-    owns_transport = transport is None
 
     cluster = None
     if tcp_local and workers > 0:
@@ -466,12 +452,7 @@ def run_kv_benchmark(
                     servers, addresses = await start_tcp_replicas(
                         make_replicas(system), base_port=0
                     )
-                if binary:
-                    local = BinaryTcpTransport(addresses, coalesce=coalesce)
-                elif serialized:
-                    local = SerializedTcpTransport(addresses)
-                else:
-                    local = TcpTransport(addresses)
+                local = BinaryTcpTransport(addresses, coalesce=coalesce)
             else:
                 local = InProcessTransport(
                     make_replicas(system),
@@ -484,8 +465,7 @@ def run_kv_benchmark(
                 system, local, strategy, config, seed=seed
             )
         finally:
-            if owns_transport:
-                await local.close()
+            await local.close()
             for server in servers:
                 server.close()
                 await server.wait_closed()

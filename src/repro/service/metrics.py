@@ -24,7 +24,7 @@ from ..runtime.metrics import KeyCounter, LatencyHistogram
 #: Counter attributes a transport may expose, in reporting order.  The
 #: wire-level ones (frames, coalesced ops, the derived ops-per-frame and
 #: bytes-per-op ratios) come from :class:`~repro.service.transport.
-#: BinaryTcpTransport`; the JSON transports expose the byte/flush subset.
+#: BinaryTcpTransport`.
 #: Kept here, next to the op metrics, so every report that quotes an
 #: ops/s figure can also say what the wire did to earn it.
 TRANSPORT_COUNTERS = (
@@ -46,7 +46,8 @@ def transport_summary(transport: Any) -> Dict[str, Any]:
 
     Works across the whole transport zoo — counters a transport lacks
     are simply absent, so callers can diff summaries without caring
-    which wire (JSON lines, binary frames, in-process) produced them.
+    which transport (binary frames, in-process, virtual time) produced
+    them.
     Ratios stay floats; counts are coerced to plain ints so the result
     is always JSON-serialisable.
     """

@@ -1,9 +1,8 @@
 """Binary wire protocol v2 for the KV service: codec and op model.
 
-The JSON-lines transport spends a large share of every request on
-``dumps``/``loads`` and one event-loop wakeup per line.  Protocol v2
-removes both costs: messages are packed with :mod:`struct` into
-length-prefixed **frames**, and one frame carries *many* logical RPCs
+Protocol v2 is the service's only TCP protocol.  Messages are packed
+with :mod:`struct` into length-prefixed **frames** — no per-message
+``dumps``/``loads`` — and one frame carries *many* logical RPCs
 (op coalescing) — the client packs every request queued during a flush
 window into a single frame, the server decodes, applies and answers the
 whole batch with one write, and each side wakes once per batch instead
@@ -43,10 +42,7 @@ sim-mode determinism and the binary transport on one op model.
 Version negotiation: the first frame on a channel is a HELLO carrying
 ``(min_version, max_version)``; the server answers with its own HELLO
 whose ``version`` header byte is the negotiated version (0 = no overlap,
-channel closed).  JSON-lines clients never send the magic — the replica
-server sniffs the first byte of each connection (``0x51`` = binary,
-anything else = JSON lines) so both protocols share one port and the
-pre-existing transports keep working unchanged.
+channel closed).
 """
 
 from __future__ import annotations

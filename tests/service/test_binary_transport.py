@@ -1,14 +1,11 @@
-"""Tests for BinaryTcpTransport and the dual-protocol TCP server.
+"""Tests for BinaryTcpTransport and the wire-v2 TCP replica server.
 
-The server sniffs the first byte of every connection: 0x51 (the high
-byte of the wire magic) selects binary wire v2, anything else JSON
-lines.  These tests drive real localhost sockets — the binary client
-against the sniffing server, raw sockets for the malformed-input edge
-cases, and a FaultyTransport wrapped around the binary channel.
+These tests drive real localhost sockets — the binary client against
+the replica server, raw sockets for the malformed-input edge cases, and
+a FaultyTransport wrapped around the binary channel.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -17,7 +14,6 @@ from repro.service import (
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
-    TcpTransport,
     start_tcp_replicas,
 )
 from repro.service import wire
@@ -68,23 +64,6 @@ class TestBinaryRoundTrip:
                 reply = await transport.call(0, dict(request))
                 assert reply.payload == shadow.handle(dict(request))
             await shutdown(transport, servers)
-
-        asyncio.run(scenario())
-
-    def test_binary_and_json_clients_share_one_port(self):
-        async def scenario():
-            replicas, servers, addresses = await serve()
-            binary = BinaryTcpTransport(addresses)
-            jsonl = TcpTransport(addresses)
-            ack = await binary.call(
-                1, {"op": "write", "key": "k", "value": "v", "counter": 5, "writer": 2}
-            )
-            assert ack.payload["applied"]
-            seen = await jsonl.call(1, {"op": "read", "key": "k"})
-            assert seen.payload["value"] == "v"
-            assert seen.payload["counter"] == 5
-            await binary.close()
-            await shutdown(jsonl, servers)
 
         asyncio.run(scenario())
 
@@ -194,7 +173,7 @@ class TestServerEdgeCases:
 
         asyncio.run(scenario())
 
-    def test_json_client_still_served_after_binary_garbage_peer(self):
+    def test_binary_client_still_served_after_garbage_peer(self):
         async def scenario():
             replicas, servers, addresses = await serve(n=1)
             host, port = addresses[0]
@@ -205,7 +184,7 @@ class TestServerEdgeCases:
             assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
             writer.close()
             await writer.wait_closed()
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             assert (await transport.call(0, {"op": "ping"})).payload["ok"]
             await shutdown(transport, servers)
 
@@ -308,8 +287,8 @@ class TestClientEdgeCases:
 
 class TestFaultsOverBinary:
     def test_drop_and_duplicate_apply_per_logical_op(self):
-        # FaultyTransport wraps the binary channel exactly as it wraps
-        # the JSON ones: drops surface as timeouts for the caller,
+        # FaultyTransport wraps the binary channel like any transport:
+        # drops surface as timeouts for the caller,
         # duplicates re-send the logical op (idempotent at the replica),
         # and the fault accounting sees every logical op despite the
         # frame coalescing underneath.

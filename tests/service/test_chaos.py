@@ -1,20 +1,14 @@
-"""Tests for repro.service.chaos: invariants, reproducibility, reports."""
+"""Tests for the chaos runner (repro.scenarios.engine): invariants,
+reproducibility, reports."""
 
 import json
 
 import pytest
 
 from repro.core.errors import ServiceError
-from repro.service import (
-    ChaosConfig,
-    ChaosReport,
-    CrashFault,
-    FaultSchedule,
-    PartitionFault,
-    Window,
-    run_chaos,
-)
-from repro.service.chaos import _plan
+from repro.scenarios import ChaosConfig, ChaosReport, run_chaos
+from repro.scenarios.engine import _plan
+from repro.service import CrashFault, FaultSchedule, PartitionFault, Window
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 import numpy as np

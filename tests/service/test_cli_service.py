@@ -39,6 +39,55 @@ class TestKvbench:
             main(["kvbench", "not-a-system:3"])
 
 
+class TestKvbenchTcp:
+    """kvbench over real sockets: binary wire v2 is the only protocol."""
+
+    def test_tcp_local_run_completes_without_failed_ops(self, capsys):
+        main(["kvbench", "majority:3", "--tcp-local", "--ops", "200", "--json"])
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["ops"]["attempted"] == 200
+        assert snapshot["ops"]["failed"] == 0
+
+    def test_no_coalesce_applies_to_tcp_local(self, tmp_path):
+        out = tmp_path / "perf.json"
+        main([
+            "kvbench", "majority:3", "--tcp-local", "--ops", "100",
+            "--no-coalesce", "--json-out", str(out),
+        ])
+        perf = json.loads(out.read_text())["perf"]["transport"]
+        assert perf["frames_sent"] == perf["coalesced_ops"] > 0
+        assert perf["ops_per_frame"] == 1.0
+
+    def test_no_coalesce_applies_to_tcp(self, tmp_path):
+        import socket
+
+        from repro.service import ReplicaCluster
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        base = probe.getsockname()[1]
+        probe.close()
+        out = tmp_path / "perf.json"
+        with ReplicaCluster(range(3), workers=1, base_port=base):
+            main([
+                "kvbench", "majority:3", "--tcp", f"127.0.0.1:{base}",
+                "--ops", "100", "--no-coalesce", "--json-out", str(out),
+            ])
+        report = json.loads(out.read_text())
+        assert report["ops"]["failed"] == 0
+        assert report["perf"]["transport"]["ops_per_frame"] == 1.0
+
+    def test_no_coalesce_without_tcp_is_rejected(self):
+        with pytest.raises(SystemExit, match="--no-coalesce requires"):
+            main(["kvbench", "majority:3", "--ops", "50", "--no-coalesce"])
+
+    @pytest.mark.parametrize("flag", ["--binary", "--serialized"])
+    def test_json_protocol_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["kvbench", "majority:3", "--tcp-local", flag])
+        assert info.value.code == 2  # argparse: unrecognized argument
+
+
 class TestChaos:
     def test_chaos_reports_and_exits_cleanly(self, capsys):
         main([
@@ -164,5 +213,6 @@ class TestServe:
         ])
         out = capsys.readouterr().out
         assert "serving majority" in out
+        assert "binary wire v2 only" in out
         assert out.count("replica") == 3
         assert "127.0.0.1:" in out

@@ -43,10 +43,10 @@ from repro.cli import build_system
 from repro.core import ExplicitQuorumSystem, Strategy, Universe
 from repro.core.errors import ServiceError
 from repro.runtime import VirtualClock, run_virtual
+from repro.scenarios import ChaosConfig, run_chaos
 from repro.scenarios.scorecard import digest
 from repro.service import (
     BinaryTcpTransport,
-    ChaosConfig,
     Coordinator,
     InProcessTransport,
     Replica,
@@ -54,7 +54,6 @@ from repro.service import (
     RequestTimeout,
     SimTransport,
     make_replicas,
-    run_chaos,
     run_kv_benchmark,
     start_tcp_replicas,
 )

@@ -20,8 +20,8 @@ import pytest
 
 from repro.core.errors import ReplicaUnavailable, RequestTimeout
 from repro.runtime import RngStreams, VirtualClock, run_virtual
+from repro.scenarios import ChaosConfig, run_chaos
 from repro.service import (
-    ChaosConfig,
     CrashFault,
     FaultSchedule,
     FaultyTransport,
@@ -31,7 +31,6 @@ from repro.service import (
     SimTransport,
     Window,
     make_replicas,
-    run_chaos,
 )
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 

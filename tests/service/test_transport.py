@@ -1,4 +1,4 @@
-"""Tests for repro.service.transport: determinism, crashes, TCP."""
+"""Tests for repro.service.transport: determinism, crashes, TCP (wire v2)."""
 
 import asyncio
 
@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.service import (
+    BinaryTcpTransport,
     InProcessTransport,
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
-    TcpTransport,
     start_tcp_replicas,
 )
+from repro.service import wire
 
 
 def make_transport(n=5, **kwargs):
@@ -83,12 +84,50 @@ class TestInProcess:
             InProcessTransport([])
 
 
+async def _start_scripted_server(on_batch):
+    """A wire-v2 replica server driven by a script.
+
+    It answers the client's HELLO, then hands every decoded request
+    frame to ``on_batch(writer, [(rpc_id, request), ...])``.  The script
+    answers with :func:`_reply` (or not at all) and returns False to
+    hang up the connection.
+    """
+
+    async def handle(reader, writer):
+        decoder = wire.FrameDecoder()
+        try:
+            while data := await reader.read(65536):
+                for _, flags, count, body in decoder.feed(data):
+                    if flags & wire.FLAG_HELLO:
+                        writer.write(wire.hello_frame())
+                        continue
+                    batch, offset = [], 0
+                    for _ in range(count):
+                        rpc_id, request, offset = wire.decode_request(body, offset)
+                        batch.append((rpc_id, request))
+                    if not await on_batch(writer, batch):
+                        return
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+async def _reply(writer, replies):
+    """Send ``[(rpc_id, response), ...]`` back as one wire-v2 frame."""
+    writer.write(
+        wire.pack_frame([wire.encode_response(rpc_id, r) for rpc_id, r in replies])
+    )
+    await writer.drain()
+
+
 class TestTcp:
     def test_round_trip_and_crash(self):
         async def scenario():
             replicas = [Replica(i) for i in range(3)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             try:
                 ack = await transport.call(
                     0,
@@ -99,7 +138,7 @@ class TestTcp:
                 read = await transport.call(0, {"op": "read", "key": "k"}, timeout=2000.0)
                 assert read.payload["value"] == "v"
                 assert read.latency > 0.0
-                # Replica servers answer garbage lines with an error dict,
+                # Replica servers answer unknown ops with an error dict,
                 # and a killed server surfaces as ReplicaUnavailable.
                 bad = await transport.call(1, {"op": "bogus"}, timeout=2000.0)
                 assert bad.payload["ok"] is False
@@ -132,36 +171,31 @@ class TestTcp:
 
     def test_empty_address_map_rejected(self):
         with pytest.raises(ServiceError):
-            TcpTransport({})
+            BinaryTcpTransport({})
 
 
 class TestTcpReconnect:
     @staticmethod
     async def _start_one_shot_server(replica):
-        """A replica server that closes every connection after one reply —
-        the cached persistent connection is dead by the next call."""
-        import json
+        """A replica server that answers one request per connection and
+        hangs up, unanswered, on the next — a call riding the cached
+        connection finds it dead."""
+        answered = set()
 
-        async def handle(reader, writer):
-            line = await reader.readline()
-            if line:
-                request = json.loads(line)
-                rpc_id = request.pop("id", None)
-                response = replica.handle(request)
-                if rpc_id is not None:
-                    response = {**response, "id": rpc_id}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-            writer.close()
+        async def on_batch(writer, batch):
+            if writer in answered:
+                return False
+            answered.add(writer)
+            await _reply(writer, [(i, replica.handle(r)) for i, r in batch])
+            return True
 
-        server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-        return server, server.sockets[0].getsockname()[1]
+        return await _start_scripted_server(on_batch)
 
     def test_dropped_persistent_connection_is_retried_once(self):
         async def scenario():
             replica = Replica(0)
             server, port = await self._start_one_shot_server(replica)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 for index in range(3):
                     reply = await transport.call(
@@ -191,56 +225,43 @@ class TestTcpReconnect:
         async def scenario():
             replica = Replica(0)
             server, port = await self._start_one_shot_server(replica)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 await transport.call(0, {"op": "ping"}, timeout=2000.0)
                 server.close()
                 await server.wait_closed()
-                # The cached connection is dead and the reconnect attempt
-                # cannot reach the (gone) server: exactly one retry, then
-                # the failure surfaces.
+                # The cached connection dies under the call and the
+                # reconnect attempt cannot reach the (gone) server:
+                # exactly one retry, then the failure surfaces.
                 with pytest.raises(ReplicaUnavailable):
                     await transport.call(0, {"op": "ping"}, timeout=2000.0)
             finally:
                 await transport.close()
-            assert transport.reconnects <= 1
+            assert transport.reconnects == 1
 
         asyncio.run(scenario())
 
 
 class TestPipelining:
-    """The correlation-id multiplexing added by the hot-path overhaul."""
+    """rpc-id multiplexing over one connection per replica."""
 
     @staticmethod
     async def _start_reordering_server(replica, batch):
         """A replica server that withholds replies until ``batch`` requests
-        arrived, then answers them in *reverse* order — only correlation
-        ids, never arrival order, can match replies to callers."""
-        import json
+        arrived, then answers them in *reverse* order — only rpc ids,
+        never arrival order, can match replies to callers."""
+        pending = []
 
-        async def handle(reader, writer):
-            pending = []
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                pending.append(json.loads(line))
-                if len(pending) < batch:
-                    continue
-                out = []
-                for request in reversed(pending):
-                    rpc_id = request.pop("id", None)
-                    response = replica.handle(request)
-                    if rpc_id is not None:
-                        response = {**response, "id": rpc_id}
-                    out.append(json.dumps(response).encode())
-                writer.write(b"\n".join(out) + b"\n")
-                await writer.drain()
-                pending = []
-            writer.close()
+        async def on_batch(writer, requests):
+            pending.extend(requests)
+            if len(pending) >= batch:
+                await _reply(
+                    writer, [(i, replica.handle(r)) for i, r in reversed(pending)]
+                )
+                pending.clear()
+            return True
 
-        server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-        return server, server.sockets[0].getsockname()[1]
+        return await _start_scripted_server(on_batch)
 
     def test_out_of_order_replies_reach_the_right_callers(self):
         async def scenario():
@@ -256,7 +277,7 @@ class TestPipelining:
                     }
                 )
             server, port = await self._start_reordering_server(replica, batch=3)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 replies = await asyncio.gather(
                     *(
@@ -281,7 +302,7 @@ class TestPipelining:
         async def scenario():
             replicas = [Replica(0)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             try:
                 replies = await asyncio.gather(
                     *(
@@ -305,10 +326,11 @@ class TestPipelining:
 
     def test_channel_death_fails_only_affected_futures(self):
         async def scenario():
-            # Replica 0: a black hole that reads requests and then slams
-            # the connection shut without answering.  Replica 1: healthy.
+            # Replica 0: a black hole that reads the client's first bytes
+            # and then slams the connection shut without answering.
+            # Replica 1: healthy.
             async def black_hole(reader, writer):
-                await reader.readline()
+                await reader.read(65536)
                 writer.close()
 
             broken = await asyncio.start_server(
@@ -318,7 +340,7 @@ class TestPipelining:
                 [Replica(1)], base_port=0
             )
             addresses[0] = ("127.0.0.1", broken.sockets[0].getsockname()[1])
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             try:
                 outcomes = await asyncio.gather(
                     transport.call(0, {"op": "ping"}, timeout=2000.0),
@@ -341,37 +363,28 @@ class TestPipelining:
 
     def test_timeout_keeps_the_channel_alive(self):
         async def scenario():
-            import json
+            replica = Replica(0)
+            first = [True]
 
-            async def slow_then_fast(reader, writer):
-                first = True
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    request = json.loads(line)
-                    rpc_id = request.pop("id", None)
-                    if first:
-                        first = False
-                        await asyncio.sleep(0.2)  # past the first deadline
-                    response = {"ok": True, "id": rpc_id}
-                    writer.write(json.dumps(response).encode() + b"\n")
-                    await writer.drain()
-                writer.close()
+            async def slow_then_fast(writer, batch):
+                if first[0]:
+                    first[0] = False
+                    await asyncio.sleep(0.2)  # past the first deadline
+                await _reply(writer, [(i, replica.handle(r)) for i, r in batch])
+                return True
 
-            server = await asyncio.start_server(
-                slow_then_fast, host="127.0.0.1", port=0
-            )
-            port = server.sockets[0].getsockname()[1]
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            server, port = await _start_scripted_server(slow_then_fast)
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 with pytest.raises(RequestTimeout):
                     await transport.call(0, {"op": "ping"}, timeout=50.0)
                 # The expired request did not tear the connection down: the
                 # next call reuses it, and the late reply for the dead id
                 # is dropped instead of corrupting this one.
-                reply = await transport.call(0, {"op": "ping"}, timeout=2000.0)
-                assert reply.payload["ok"]
+                reply = await transport.call(
+                    0, {"op": "read", "key": "k"}, timeout=2000.0
+                )
+                assert reply.payload["ok"] and "value" in reply.payload
                 assert transport.reconnects == 0
             finally:
                 await transport.close()
@@ -396,7 +409,7 @@ class TestFaultyOverPipelined:
         async def scenario():
             replicas = [Replica(0)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            inner = TcpTransport(addresses)
+            inner = BinaryTcpTransport(addresses)
             schedule = FaultSchedule(
                 [
                     DropFault(
